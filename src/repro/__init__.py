@@ -40,8 +40,8 @@ Performance
 -----------
 
 Every CMI/MI/entropy estimate runs on the contingency-count kernel
-(:mod:`repro.infotheory.kernel`) by default: one weighted ``bincount`` per
-term instead of four masked entropy calls, incremental joint coding of
+(:mod:`repro.infotheory.kernel`): one weighted ``bincount`` per term
+instead of four masked entropy calls, incremental joint coding of
 conditioning sets (extending ``Z`` to ``Z ∪ {a}`` is one ``O(n)`` fuse
 against cached codes), and batched candidate scoring
 (:meth:`~repro.core.problem.CorrelationExplanationProblem.score_candidates`)
@@ -52,22 +52,13 @@ sampled in blocks, one shared ``bincount`` per block, bit-identical
 p-values) and IPW selection fits on the fit cache
 (:mod:`repro.missingness.fitcache` — fits memoised by observed-mask hash +
 design signature, uncached attributes batched into one multi-label IRLS
-solve).  The knobs on :class:`MESAConfig` controlling the fast paths:
+solve; ``context.counters['ipw_fit_hit']`` / ``['ipw_fit_miss']`` count
+reuse, and ``context.stage_seconds['ipw_fit']`` /
+``['permutation_test']`` carry the phase timings, surfaced by a serving
+deployment via ``GET /stats``).  ``benchmarks/bench_perf.py`` records
+these paths' timings and gates their work counters.  The knobs on
+:class:`MESAConfig` controlling the permutation tests and batching:
 
-* ``use_fast_kernel`` (default ``True``) — set ``False`` to fall back to
-  the reference raw-row estimators; results are identical within float
-  tolerance, only slower.  The before/after benchmark
-  (``benchmarks/bench_perf.py``) compares both modes on a candidate-heavy
-  workload and records the speedup in ``BENCH_perf.json``: read
-  ``before.seconds`` / ``after.seconds`` for the wall-clock of each mode,
-  ``speedup`` for the ratio (CI gates on >= 3x), and ``explainers`` for
-  the per-method equivalence verdicts.
-* ``use_blocked_permutations`` (default ``True``) — run permutation tests
-  on the blocked engine.  The RNG stream matches the historical
-  per-permutation loop, so p-values and verdicts stay bit-reproducible;
-  set ``False`` only to reproduce the pre-blocked timing (the
-  ``ipw_perm`` scenario of ``bench_perf.py`` compares both and CI gates
-  the combined ipw+permutation phase at >= 2x).
 * ``permutation_early_exit`` (default ``False``) — let the sequential
   test stop a permutation run as soon as the verdict is determined (a
   deterministic exceedance bracket that never flips the full-run verdict,
@@ -99,12 +90,6 @@ solve).  The knobs on :class:`MESAConfig` controlling the fast paths:
   disjoint memo caches, so explanations stay bit-identical to the
   sequential schedule.  ``context.counters['speculation_hit']`` /
   ``['speculation_waste']`` count consumed and discarded speculations.
-* ``use_ipw_fit_cache`` (default ``True``) — route IPW selection fits
-  through the per-context fit cache and the multi-label IRLS batch.
-  ``context.counters['ipw_fit_hit']`` / ``['ipw_fit_miss']`` count
-  reuse, and ``context.stage_seconds['ipw_fit']`` /
-  ``['permutation_test']`` carry the phase timings; a serving deployment
-  surfaces all of them via ``GET /stats``.
 * ``n_jobs`` / ``parallel_backend`` — opt-in worker fan-out for the batch
   APIs.  ``pipeline.explain_many(queries, n_jobs=4)`` runs thread workers
   over forked contexts and returns full results;

@@ -14,21 +14,21 @@ algorithms need:
 
 from __future__ import annotations
 
+import copy
 import time
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.counts import LocalCounts
 from repro.exceptions import ExplanationError
-from repro.infotheory import kernel
 from repro.infotheory.encoding import EncodedFrame
-from repro.infotheory.entropy import conditional_entropy, entropy
-from repro.infotheory.independence import IndependenceResult, conditional_independence_test
-from repro.infotheory.mutual_information import (
-    conditional_mutual_information,
-    mutual_information,
+from repro.infotheory.independence import (
+    DEFAULT_CMI_THRESHOLD,
+    IndependenceResult,
+    decide,
 )
+from repro.infotheory.permutation import PermutationBudget
 from repro.obs import trace
 from repro.query.aggregate_query import AggregateQuery
 from repro.table.discretize import DEFAULT_BINS
@@ -57,12 +57,6 @@ class CorrelationExplanationProblem:
     n_bins:
         Number of bins used when numeric attributes are discretised for the
         information-theoretic estimates.
-    use_kernel:
-        Route the oracle through the fast contingency-count kernel
-        (:mod:`repro.infotheory.kernel`): one ``bincount`` per CMI term and
-        incremental joint coding of conditioning sets.  Disable to fall
-        back to the reference estimators (same values, slower) — the
-        performance benchmark compares both paths.
     frame:
         An existing :class:`EncodedFrame` over the *context-restricted*
         table to adopt instead of encoding from scratch.  The engine passes
@@ -72,8 +66,8 @@ class CorrelationExplanationProblem:
         frame cache passes it across queries sharing a context, so every
         column is factorised at most once per *context*.  The adopted
         frame's code arrays may be **read-only shared-memory views**
-        (:mod:`repro.shm`): every code consumer in this class treats code
-        arrays as immutable — derived representations (joint codes, fused
+        (:mod:`repro.shm`): every code consumer treats code arrays as
+        immutable — derived representations (joint codes, fused
         conditioning sets, restrictions, permutation blocks) are always
         freshly allocated — so a frame encoded once per box serves any
         number of problems in any number of processes.
@@ -82,47 +76,41 @@ class CorrelationExplanationProblem:
         given, the constructor skips re-applying the query context (the
         caller — the pipeline's frame cache — already filtered the rows).
         Must be passed together with ``frame``.
-    use_blocked_permutations:
-        Run the kernel path's permutation tests on the blocked engine
-        (:mod:`repro.infotheory.permutation`) — bit-identical p-values,
-        one shared ``bincount`` per permutation block.  Disable to
-        reproduce the per-permutation loop (the performance benchmark
-        compares both).
-    permutation_early_exit:
-        Allow the sequential early-exit decision to stop permutation runs
-        once the verdict is determined (verdicts preserved, permutation
-        counts — and hence exact p-values — may differ from a full run).
+    counts:
+        The counts source answering every estimate (see
+        :mod:`repro.core.counts`): a callable ``(frame,
+        attribute_weights) -> source``.  The default,
+        :class:`~repro.core.counts.LocalCounts`, counts over this
+        process's frame; the engine passes a
+        :class:`~repro.distributed.counts.ShardCounts` partial when a
+        row-sharded pool is attached.
     permutation_budget:
-        Optional :class:`~repro.infotheory.permutation.PermutationBudget`
-        policy for every permutation test this problem runs.  When given
-        it wins over ``permutation_early_exit`` wholesale; an adaptive
+        The :class:`~repro.infotheory.permutation.PermutationBudget` policy
+        of every permutation test this problem runs (default: a fixed
+        budget without early exit).  ``early_exit`` lets the sequential
+        decision stop a run once the verdict is determined; an adaptive
         policy (``max_permutations`` set) extends statistically uncertain
         tests geometrically while clear-cut tests exit early, and
         ``rng_stream="argsort"`` selects the vectorised sampling stream.
     counter_hook:
         Optional ``(name, increment)`` callable observing backend counters
         (``perm_early_exit``, ``perm_saved``, ``perm_budget_extended``,
-        ``perm_budget_saved``).  The engine passes
-        ``PipelineContext.count`` so the serving ``/stats`` endpoint
-        surfaces them.
+        ``perm_budget_saved``, and the sharded source's ``shard_*``).  The
+        engine passes ``PipelineContext.count`` so the serving ``/stats``
+        endpoint surfaces them.
     seconds_hook:
         Optional ``(name, seconds)`` callable observing backend phase
         timings (``permutation_test``); the engine passes
         ``PipelineContext.add_seconds``.
     """
 
-    #: Bound on the cached fused conditioning-code arrays (LRU); each entry
-    #: costs ``8 * n_rows`` bytes.
-    MAX_JOINT_CACHE = 128
-
     def __init__(self, table: Table, query: AggregateQuery, candidates: Sequence[str],
                  attribute_weights: Optional[Dict[str, np.ndarray]] = None,
-                 n_bins: int = DEFAULT_BINS, use_kernel: bool = True,
+                 n_bins: int = DEFAULT_BINS,
                  frame: Optional[EncodedFrame] = None,
                  context_table: Optional[Table] = None,
-                 use_blocked_permutations: bool = True,
-                 permutation_early_exit: bool = False,
-                 permutation_budget=None,
+                 counts=None,
+                 permutation_budget: Optional[PermutationBudget] = None,
                  counter_hook=None, seconds_hook=None):
         query.validate_against(table)
         if context_table is not None and frame is None:
@@ -166,23 +154,14 @@ class CorrelationExplanationProblem:
                     f"IPW weights for {attribute!r} have length {len(weights)}, "
                     f"expected {self.context_table.n_rows} (context rows)"
                 )
-        self.use_kernel = use_kernel
-        self.use_blocked_permutations = use_blocked_permutations
-        self.permutation_early_exit = permutation_early_exit
-        self.permutation_budget = permutation_budget
+        self.counts = (counts or LocalCounts)(self.frame, self.attribute_weights)
+        self.permutation_budget = permutation_budget \
+            if permutation_budget is not None else PermutationBudget()
         self.counter_hook = counter_hook
         self.seconds_hook = seconds_hook
         self._cmi_cache: Dict[Tuple[str, ...], float] = {}
         self._mi_cache: Dict[Tuple[str, str], float] = {}
         self._entropy_cache: Dict[str, float] = {}
-        # Fused conditioning codes (incremental joint coding), keyed by the
-        # sorted attribute tuple.  Two caches because the CMI oracle encodes
-        # conditioning attributes with missing-as-category while the
-        # independence tests use the plain codes.
-        self._joint_cache: "OrderedDict[Tuple[str, ...], Tuple[np.ndarray, int]]" = \
-            OrderedDict()
-        self._plain_joint_cache: "OrderedDict[Tuple[str, ...], Tuple[np.ndarray, int]]" = \
-            OrderedDict()
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -207,85 +186,6 @@ class CorrelationExplanationProblem:
         return attribute in self.attribute_weights
 
     # ------------------------------------------------------------------ #
-    # weighted estimation helpers
-    # ------------------------------------------------------------------ #
-    def _weights_for(self, attributes: Sequence[str]) -> Optional[np.ndarray]:
-        """Combined IPW weights for a set of attributes.
-
-        The paper applies weights per selection-biased attribute; when a
-        conditioning set contains several such attributes their weights are
-        multiplied (a row must be re-weighted for every biased attribute it
-        contributes to).  ``None`` means no re-weighting is needed.
-        """
-        combined: Optional[np.ndarray] = None
-        for attribute in attributes:
-            weights = self.attribute_weights.get(attribute)
-            if weights is None:
-                continue
-            combined = weights.copy() if combined is None else combined * weights
-        return combined
-
-    # ------------------------------------------------------------------ #
-    # incremental joint coding (fast kernel)
-    # ------------------------------------------------------------------ #
-    def _conditioning_codes(self, attribute: str, plain: bool) -> np.ndarray:
-        if plain:
-            return self.frame.codes(attribute)
-        return self.frame.codes(attribute, missing_as_category=True)
-
-    def _joint_for(self, key: Tuple[str, ...], plain: bool = False,
-                   ) -> Tuple[np.ndarray, int]:
-        """Fused codes + cardinality of a conditioning set (cached, LRU).
-
-        Extending a cached set ``Z`` to ``Z ∪ {a}`` is one ``O(n)`` fuse
-        against the cached codes instead of a re-factorisation from
-        scratch: the method looks for a cached subset one attribute short,
-        falling back to a recursive build over the prefix (which leaves
-        every prefix cached for the next caller).
-
-        With ``plain=True`` (the independence-test representation) the
-        fuse happens strictly left to right in the caller's attribute
-        order: permutation tests stratify on these codes, and sorted
-        place-value codes must reproduce the reference ``joint_codes``
-        label order — lexicographic in *caller* order — for the RNG to be
-        consumed identically.  The missing-as-category cache only feeds
-        order-invariant scalar estimates, so it may extend any cached
-        subset regardless of order.
-        """
-        if not key:
-            return np.zeros(self.context_table.n_rows, dtype=np.int64), 1
-        cache = self._plain_joint_cache if plain else self._joint_cache
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            return cached
-        if len(key) == 1:
-            codes = self._conditioning_codes(key[0], plain)
-            entry = (codes, kernel.code_cardinality(codes))
-        else:
-            entry = None
-            if not plain:
-                for dropped in key:
-                    shorter = tuple(name for name in key if name != dropped)
-                    base = cache.get(shorter)
-                    if base is not None:
-                        extra = self._conditioning_codes(dropped, plain)
-                        fused, card = kernel.fuse_codes(
-                            base[0], base[1], extra, kernel.code_cardinality(extra))
-                        entry = kernel.maybe_compact(fused, card)
-                        break
-            if entry is None:
-                base = self._joint_for(key[:-1], plain=plain)
-                extra = self._conditioning_codes(key[-1], plain)
-                fused, card = kernel.fuse_codes(
-                    base[0], base[1], extra, kernel.code_cardinality(extra))
-                entry = kernel.maybe_compact(fused, card)
-        cache[key] = entry
-        while len(cache) > self.MAX_JOINT_CACHE:
-            cache.popitem(last=False)
-        return entry
-
-    # ------------------------------------------------------------------ #
     # information-theoretic oracle
     # ------------------------------------------------------------------ #
     def cmi(self, conditioning: Sequence[str] = ()) -> float:
@@ -299,26 +199,11 @@ class CorrelationExplanationProblem:
         complete cases exclude entire exposure groups.
         """
         key = tuple(sorted(conditioning))
-        if key not in self._cmi_cache:
-            if self.use_kernel:
-                fused, card = self._joint_for(key)
-                value = kernel.contingency_cmi(
-                    self.frame.codes(self.outcome),
-                    self.frame.codes(self.exposure),
-                    fused, n_z=card,
-                    weights=self._weights_for(key),
-                )
-            else:
-                codes = [self.frame.codes(attribute, missing_as_category=True)
-                         for attribute in key]
-                value = conditional_mutual_information(
-                    self.frame.codes(self.outcome),
-                    self.frame.codes(self.exposure),
-                    codes,
-                    weights=self._weights_for(key),
-                )
+        value = self._cmi_cache.get(key)
+        if value is None:
+            value = self.counts.cmi(self.outcome, self.exposure, key)
             self._cmi_cache[key] = value
-        return self._cmi_cache[key]
+        return value
 
     def score_candidates(self, attributes: Sequence[str],
                          given: Sequence[str] = ()) -> Dict[str, float]:
@@ -326,33 +211,27 @@ class CorrelationExplanationProblem:
 
         One greedy round of MCIMR (and the ranking passes of the brute-force
         and top-k explainers) scores every remaining candidate against the
-        same selected set: the fused codes of ``given`` are built once and
-        each candidate costs a single ``O(n)`` fuse plus one ``bincount``,
-        instead of a full re-factorisation per candidate.  Results land in
-        the same memo the scalar :meth:`cmi` oracle uses.
+        same selected set, so the uncached terms go to the counts source as
+        one batch — one fuse plus one ``bincount`` per candidate locally,
+        one scatter-gather round on a shard pool.  Results land in the same
+        memo the scalar :meth:`cmi` oracle uses.
         """
-        given = tuple(given)
         given_set = set(given)
         scores: Dict[str, float] = {}
-        if not self.use_kernel:
-            for attribute in attributes:
-                extended = given if attribute in given_set else given + (attribute,)
-                scores[attribute] = self.cmi(extended)
-            return scores
-        base, base_card = self._joint_for(tuple(sorted(given)))
-        x = self.frame.codes(self.outcome)
-        y = self.frame.codes(self.exposure)
+        pending: List[str] = []
         for attribute in attributes:
             key = tuple(sorted(given_set | {attribute}))
             value = self._cmi_cache.get(key)
+            if value is None and attribute in given_set:
+                value = self.cmi(key)
             if value is None:
-                extra = self.frame.codes(attribute, missing_as_category=True)
-                fused, card = kernel.fuse_codes(
-                    base, base_card, extra, kernel.code_cardinality(extra))
-                fused, card = kernel.maybe_compact(fused, card)
-                value = kernel.contingency_cmi(x, y, fused, n_z=card,
-                                               weights=self._weights_for(key))
-                self._cmi_cache[key] = value
+                pending.append(attribute)
+            else:
+                scores[attribute] = value
+        values = self.counts.score(self.outcome, self.exposure,
+                                   tuple(sorted(given)), pending)
+        for attribute, value in zip(pending, values):
+            self._cmi_cache[tuple(sorted(given_set | {attribute}))] = value
             scores[attribute] = value
         return scores
 
@@ -373,15 +252,11 @@ class CorrelationExplanationProblem:
     def pairwise_mi(self, a: str, b: str) -> float:
         """``I(A; B)`` between two candidate attributes (memoised, weighted)."""
         key = (a, b) if a <= b else (b, a)
-        if key not in self._mi_cache:
-            estimator = kernel.contingency_mi if self.use_kernel else mutual_information
-            value = estimator(
-                self.frame.codes(a, missing_as_category=True),
-                self.frame.codes(b, missing_as_category=True),
-                weights=self._weights_for([a, b]),
-            )
+        value = self._mi_cache.get(key)
+        if value is None:
+            value = self.counts.pairwise_mi(a, b)
             self._mi_cache[key] = value
-        return self._mi_cache[key]
+        return value
 
     def attribute_relevance(self, attribute: str) -> float:
         """Individual explanation power ``I(O;T|C, attribute)`` (lower = stronger)."""
@@ -393,81 +268,50 @@ class CorrelationExplanationProblem:
         Pruning evaluates ``H(T)``/``H(O)`` once per candidate; the memo
         makes those repeat lookups free.
         """
-        cached = self._entropy_cache.get(attribute)
-        if cached is None:
-            if self.use_kernel:
-                cached = kernel.contingency_entropy(self.frame.codes(attribute))
-            else:
-                cached = entropy(self.frame.codes(attribute))
-            self._entropy_cache[attribute] = cached
-        return cached
+        value = self._entropy_cache.get(attribute)
+        if value is None:
+            value = self.counts.conditional_entropy(attribute, ())
+            self._entropy_cache[attribute] = value
+        return value
 
     def conditional_entropy_of(self, target: str, given: Sequence[str]) -> float:
         """``H(target | given)`` within the context."""
-        if self.use_kernel:
-            fused, card = self._joint_for(tuple(sorted(given)), plain=True)
-            if not given:
-                fused = None
-                card = None
-            return kernel.contingency_conditional_entropy(
-                self.frame.codes(target), fused, n_given=card)
-        return conditional_entropy(self.frame.codes(target),
-                                   [self.frame.codes(g) for g in given])
+        return self.counts.conditional_entropy(target, tuple(sorted(given)))
 
     # ------------------------------------------------------------------ #
     # independence testing
     # ------------------------------------------------------------------ #
     def independence_test(self, a: str, b: str, conditioning: Sequence[str] = (),
-                          **kwargs) -> IndependenceResult:
+                          threshold: float = DEFAULT_CMI_THRESHOLD,
+                          n_permutations: int = 30, alpha: float = 0.05,
+                          dependent_threshold: Optional[float] = None,
+                          seed: Optional[int] = 0) -> IndependenceResult:
         """Conditional-independence test between two columns given others.
 
-        On the kernel path the conditioning set is fused once (cached) and
-        the permutation phase runs on the blocked engine
-        (``use_blocked_permutations``); verdicts, p-values and RNG
-        consumption are identical to the reference implementation.  With
-        ``permutation_early_exit`` the sequential decision may stop a run
-        early (verdict preserved); elapsed wall-clock is reported to
+        The counts source computes the observed CMI over the plain codes
+        (never through :meth:`cmi`, whose missing-as-category memo a
+        concurrent speculative scoring round may be filling) and runs the
+        permutation phase; the shortcuts and the decision are
+        :func:`repro.infotheory.independence.decide` under
+        ``permutation_budget``.  Elapsed wall-clock is reported to
         ``seconds_hook`` under ``permutation_test``.
         """
-        weights = self._weights_for([a, b, *conditioning])
         start = time.perf_counter() if self.seconds_hook is not None else 0.0
         try:
             with trace.span("permutation_test", a=a, b=b,
                             conditioning=len(conditioning)):
-                return self._independence_test(a, b, conditioning, weights,
-                                               **kwargs)
+                observed, permute = self.counts.test(
+                    a, b, tuple(conditioning), n_permutations, alpha, seed)
+                return decide(
+                    observed, permute, threshold=threshold,
+                    dependent_threshold=dependent_threshold,
+                    n_permutations=n_permutations, alpha=alpha,
+                    budget=self.permutation_budget,
+                    counter_hook=self.counter_hook)
         finally:
             if self.seconds_hook is not None:
                 self.seconds_hook("permutation_test",
                                   time.perf_counter() - start)
-
-    def _independence_test(self, a: str, b: str, conditioning: Sequence[str],
-                           weights, **kwargs) -> IndependenceResult:
-        if self.use_kernel:
-            # Fuse in *caller* order: the permutation strata then sort the
-            # same way the reference ``joint_codes`` labels do, so the RNG
-            # is consumed stratum-for-stratum identically.
-            fused, card = self._joint_for(tuple(conditioning), plain=True)
-            if not conditioning:
-                fused, card = None, None
-            return kernel.fast_independence_test(
-                self.frame.codes(a), self.frame.codes(b), fused, n_z=card,
-                weights=weights,
-                use_blocked=self.use_blocked_permutations,
-                early_exit=self.permutation_early_exit,
-                counter_hook=self.counter_hook,
-                budget=self.permutation_budget,
-                **kwargs,
-            )
-        return conditional_independence_test(
-            self.frame.codes(a), self.frame.codes(b),
-            [self.frame.codes(c) for c in conditioning],
-            weights=weights,
-            early_exit=self.permutation_early_exit,
-            counter_hook=self.counter_hook,
-            budget=self.permutation_budget,
-            **kwargs,
-        )
 
     # ------------------------------------------------------------------ #
     # derived problems
@@ -477,56 +321,32 @@ class CorrelationExplanationProblem:
 
         Used by the unexplained-subgroup search, which evaluates the same
         explanation on refinements of the context.  Attribute weights are
-        sliced along with the rows.
+        sliced along with the rows.  The restriction always counts locally:
+        a shard pool holds the context's rows, not arbitrary subsets.
         """
-        restricted = CorrelationExplanationProblem.__new__(CorrelationExplanationProblem)
-        restricted.query = self.query
-        restricted.full_table = self.full_table
+        mask = np.asarray(mask, dtype=bool)
+        restricted = copy.copy(self)
         restricted.context_table = self.context_table.filter(mask)
         restricted.candidates = list(self.candidates)
-        restricted.n_bins = self.n_bins
         restricted.frame = self.frame.restrict(mask)
         restricted.attribute_weights = {
-            attribute: weights[np.asarray(mask, dtype=bool)]
+            attribute: weights[mask]
             for attribute, weights in self.attribute_weights.items()
         }
-        restricted.use_kernel = self.use_kernel
-        restricted.use_blocked_permutations = self.use_blocked_permutations
-        restricted.permutation_early_exit = self.permutation_early_exit
-        restricted.permutation_budget = self.permutation_budget
-        restricted.counter_hook = self.counter_hook
-        restricted.seconds_hook = self.seconds_hook
+        restricted.counts = LocalCounts(restricted.frame,
+                                        restricted.attribute_weights)
         restricted._cmi_cache = {}
         restricted._mi_cache = {}
         restricted._entropy_cache = {}
-        restricted._joint_cache = OrderedDict()
-        restricted._plain_joint_cache = OrderedDict()
         return restricted
 
     def subset_candidates(self, candidates: Iterable[str]) -> "CorrelationExplanationProblem":
         """A shallow copy of the problem with a reduced candidate list.
 
-        The CMI caches are shared (they are keyed by attribute names, so
-        entries stay valid), which lets pruning produce a cheaper problem
-        without recomputation.
+        The memo caches and the counts source are shared (entries are keyed
+        by attribute names, so they stay valid), which lets pruning produce
+        a cheaper problem without recomputation.
         """
-        clone = CorrelationExplanationProblem.__new__(CorrelationExplanationProblem)
-        clone.query = self.query
-        clone.full_table = self.full_table
-        clone.context_table = self.context_table
-        clone.candidates = [name for name in candidates]
-        clone.n_bins = self.n_bins
-        clone.frame = self.frame
-        clone.attribute_weights = self.attribute_weights
-        clone.use_kernel = self.use_kernel
-        clone.use_blocked_permutations = self.use_blocked_permutations
-        clone.permutation_early_exit = self.permutation_early_exit
-        clone.permutation_budget = self.permutation_budget
-        clone.counter_hook = self.counter_hook
-        clone.seconds_hook = self.seconds_hook
-        clone._cmi_cache = self._cmi_cache
-        clone._mi_cache = self._mi_cache
-        clone._entropy_cache = self._entropy_cache
-        clone._joint_cache = self._joint_cache
-        clone._plain_joint_cache = self._plain_joint_cache
+        clone = copy.copy(self)
+        clone.candidates = list(candidates)
         return clone

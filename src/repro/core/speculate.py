@@ -4,13 +4,14 @@ MCIMR rounds are strictly sequential in the paper's Algorithm 1: round
 ``i`` scores every remaining candidate, runs the responsibility stopping
 criterion on the winner, and only then may round ``i + 1`` begin.  But the
 two phases touch disjoint state: the responsibility test is a permutation
-test over the *plain* fused conditioning codes
-(``CorrelationExplanationProblem._plain_joint_cache``), while the next
-round's :func:`~repro.core.mcimr.next_best_attribute` evaluates CMI /
-pairwise-MI terms over the missing-as-category caches (``_cmi_cache`` /
-``_mi_cache`` / ``_joint_cache``).  Both sides are pure, memoised
-functions of the (immutable) encoded frame, so running them concurrently
-changes wall-clock, never values.
+test over the *plain* fused conditioning codes (the counts source's
+plain-code cache), while the next round's
+:func:`~repro.core.mcimr.next_best_attribute` evaluates CMI /
+pairwise-MI terms over the missing-as-category caches (the problem's
+``_cmi_cache`` / ``_mi_cache`` and the source's missing-as-category
+cache).  Both sides are pure, memoised functions of the (immutable)
+encoded frame, so running them concurrently changes wall-clock, never
+values.
 
 :class:`Speculation` runs one such computation on a daemon thread.  The
 search loop starts a speculation for round ``i + 1`` (assuming the

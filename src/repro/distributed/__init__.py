@@ -29,21 +29,21 @@ rounds:
 :class:`~repro.distributed.coordinator.ShardPool` owns the worker
 processes (reusing the :class:`~repro.serving.cluster.ServiceCluster`
 pipe machinery via :mod:`repro.distributed.ipc`);
-:class:`~repro.distributed.problem.ShardedExplanationProblem` is the
-drop-in :class:`~repro.core.problem.CorrelationExplanationProblem` that
-routes its estimates through a pool.  ``ServiceCluster(shard="rows")``
-wires the whole stack into the serving tier.
+:class:`~repro.distributed.counts.ShardCounts` is the counts source a
+:class:`~repro.core.problem.CorrelationExplanationProblem` uses to route
+its estimates through a pool.  ``ServiceCluster(shard="rows")`` wires the
+whole stack into the serving tier.
 """
 
 from repro.distributed.coordinator import ShardContext, ShardPool
+from repro.distributed.counts import ShardCounts
 from repro.distributed.ipc import WorkerDiedError, WorkerFaultError
 from repro.distributed.partition import row_ranges
-from repro.distributed.problem import ShardedExplanationProblem
 
 __all__ = [
     "ShardContext",
+    "ShardCounts",
     "ShardPool",
-    "ShardedExplanationProblem",
     "WorkerDiedError",
     "WorkerFaultError",
     "row_ranges",

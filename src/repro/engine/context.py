@@ -103,10 +103,10 @@ class PipelineContext:
         self.dataset_version: int = 0
         #: Optional row-sharded data plane
         #: (:class:`repro.distributed.coordinator.ShardPool`).  When
-        #: attached, the engine stages build
-        #: :class:`~repro.distributed.problem.ShardedExplanationProblem`
-        #: instances whose counts scatter-gather across the pool's workers
-        #: instead of running on this process's arrays.  ``shard_label``
+        #: attached, the engine stages build problems over a
+        #: :class:`~repro.distributed.counts.ShardCounts` source, whose
+        #: counts scatter-gather across the pool's workers instead of
+        #: running on this process's arrays.  ``shard_label``
         #: names the dataset inside the pool's context keys.
         self.shard_pool = None
         self.shard_label: Optional[str] = None

@@ -22,6 +22,7 @@ wall-clock cost in its timer under the stage's timing labels.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -33,8 +34,9 @@ from repro.core.problem import CorrelationExplanationProblem
 from repro.core.pruning import PruningResult, online_prune
 from repro.engine.context import PipelineContext
 from repro.engine.config import MESAConfig
+from repro.infotheory.permutation import PermutationBudget
 from repro.missingness.fitcache import compute_ipw_weights_batched
-from repro.missingness.ipw import IPWWeights, compute_ipw_weights
+from repro.missingness.ipw import IPWWeights
 from repro.missingness.recoverability import RecoverabilityReport, attribute_selection_bias
 from repro.query.aggregate_query import AggregateQuery
 from repro.table.table import Table
@@ -131,44 +133,36 @@ class OfflinePruningStage(PipelineStage):
 def _build_problem(state: QueryState, context: PipelineContext,
                    frame, context_table, attribute_weights=None,
                    ) -> CorrelationExplanationProblem:
-    """Build the problem instance, sharded when a data plane is attached.
+    """Build the problem instance over the right counts source.
 
-    With ``context.shard_pool`` set (rows-mode serving) and the fast kernel
-    enabled, the problem routes its counts through the pool's row-shard
-    workers; otherwise — including ``use_fast_kernel=False``, where the
-    reference estimators need the local arrays anyway — it runs entirely in
-    this process.
+    With ``context.shard_pool`` set (rows-mode serving) the problem counts
+    through a :class:`~repro.distributed.counts.ShardCounts` source over
+    the pool's row-shard workers; otherwise it counts over this process's
+    frame.  Every permutation test runs under one
+    :class:`~repro.infotheory.permutation.PermutationBudget` built from
+    the config (adaptive budgets imply the sequential early exit).
     """
     config = state.config
-    permutation_budget = None
-    if (config.max_responsibility_permutations
-            or config.permutation_rng_stream != "legacy"):
-        from repro.infotheory.permutation import PermutationBudget
-        permutation_budget = PermutationBudget(
-            max_permutations=config.max_responsibility_permutations or None,
-            early_exit=config.permutation_early_exit
-            or bool(config.max_responsibility_permutations),
-            rng_stream=config.permutation_rng_stream,
-        )
-    kwargs = dict(
-        attribute_weights=attribute_weights, n_bins=config.n_bins,
-        use_kernel=config.use_fast_kernel,
-        frame=frame, context_table=context_table,
-        use_blocked_permutations=config.use_blocked_permutations,
-        permutation_early_exit=config.permutation_early_exit,
-        permutation_budget=permutation_budget,
-        counter_hook=context.count, seconds_hook=context.add_seconds,
-    )
-    if context.shard_pool is not None and config.use_fast_kernel:
-        from repro.distributed.problem import ShardedExplanationProblem
+    counts = None
+    if context.shard_pool is not None:
+        from repro.distributed.counts import ShardCounts
         handle = context.shard_context(
             state.query.context, hops=config.hops, n_bins=config.n_bins,
             n_rows=context_table.n_rows)
-        return ShardedExplanationProblem(
-            context.shard_pool, handle,
-            state.augmented, state.query, state.candidates, **kwargs)
+        counts = functools.partial(ShardCounts, context.shard_pool, handle,
+                                   counter_hook=context.count)
+    budget = PermutationBudget(
+        max_permutations=config.max_responsibility_permutations or None,
+        early_exit=config.permutation_early_exit
+        or bool(config.max_responsibility_permutations),
+        rng_stream=config.permutation_rng_stream,
+    )
     return CorrelationExplanationProblem(
-        state.augmented, state.query, state.candidates, **kwargs)
+        state.augmented, state.query, state.candidates,
+        attribute_weights=attribute_weights, n_bins=config.n_bins,
+        frame=frame, context_table=context_table, counts=counts,
+        permutation_budget=budget,
+        counter_hook=context.count, seconds_hook=context.add_seconds)
 
 
 class OnlinePruningStage(PipelineStage):
@@ -237,8 +231,7 @@ class SelectionBiasStage(PipelineStage):
                 continue
             report = attribute_selection_bias(problem.frame, problem.outcome,
                                               problem.exposure, attribute,
-                                              n_permutations=0,
-                                              use_kernel=config.use_fast_kernel)
+                                              n_permutations=0)
             reports.append(report)
             if report.selection_bias:
                 biased.append(attribute)
@@ -247,22 +240,25 @@ class SelectionBiasStage(PipelineStage):
         fit_start = time.perf_counter()
         try:
             weights = self._fit_selection_models(problem, biased, predictors,
-                                                 context, config)
+                                                 context)
         finally:
             context.add_seconds("ipw_fit", time.perf_counter() - fit_start)
         return reports, weights
 
     @staticmethod
     def _fit_selection_models(problem, biased: List[str], predictors: List[str],
-                              context: PipelineContext, config: MESAConfig,
+                              context: PipelineContext,
                               ) -> Dict[str, IPWWeights]:
         """Fit the selection models of the biased attributes.
 
-        The default path routes every fit through the context's
+        Every fit routes through the context's
         :class:`~repro.missingness.fitcache.SelectionFitCache` (hits are
-        counted as ``ipw_fit_hit``) and batches the misses into one
-        multi-label IRLS solve; ``use_ipw_fit_cache=False`` reproduces the
-        historical per-attribute fitting loop.
+        counted as ``ipw_fit_hit``) and the misses batch into one
+        multi-label IRLS solve by the problem's counts source — locally,
+        or on the row shards (with a local fallback inside the fitter).
+        The design is built lazily, only when some fit misses the cache —
+        a fully cached query (the warm serving shape) skips the one-hot
+        encoding entirely.
         """
         def build_design():
             """One-hot features + binomial row groups of the shared design.
@@ -272,32 +268,16 @@ class SelectionBiasStage(PipelineStage):
             run on binomial groups instead of raw rows.  A missing code is
             its own category (it is an all-zero one-hot block).
             """
-            if not predictors:
-                return None, None
             from repro.missingness.logistic import one_hot_encode_codes
             predictor_codes = [problem.frame.codes(column) for column in predictors]
             return (one_hot_encode_codes(predictor_codes),
                     _predictor_row_groups(predictor_codes))
 
-        if config.use_ipw_fit_cache:
-            # The design is built lazily, only when some fit misses the
-            # cache — a fully cached query (the warm serving shape) skips
-            # the one-hot encoding entirely.  A sharded problem contributes
-            # its distributed IRLS solver, so cache misses fit on the row
-            # shards (with a local fallback inside the fitter).
-            fitter = None
-            if predictors and hasattr(problem, "distributed_fitter"):
-                fitter = problem.distributed_fitter(predictors)
-            return compute_ipw_weights_batched(
-                problem.frame, biased, predictors,
-                design_factory=build_design,
-                cache=context.ipw_fit_cache, counter_hook=context.count,
-                fitter=fitter)
-        features, row_groups = build_design()
-        return {attribute: compute_ipw_weights(problem.frame, attribute,
-                                               predictors, features=features,
-                                               row_groups=row_groups)
-                for attribute in biased}
+        return compute_ipw_weights_batched(
+            problem.frame, biased, predictors,
+            design_factory=build_design,
+            cache=context.ipw_fit_cache, counter_hook=context.count,
+            fitter=problem.counts.fitter(predictors))
 
 
 class SearchStage(PipelineStage):

@@ -12,12 +12,14 @@ Rows with a missing value in any involved variable are excluded
 (complete-case analysis), optionally re-weighted via the ``weights``
 argument.
 
-Two implementations coexist: the reference estimators in
-:mod:`~repro.infotheory.entropy` / :mod:`~repro.infotheory.mutual_information`
-(one masked entropy call per term), and the contingency-count kernel in
+Two implementations coexist: the contingency-count kernel in
 :mod:`~repro.infotheory.kernel` (one weighted ``bincount`` per term over
-incrementally fused codes) which the explanation oracle uses by default.
-The property tests assert both agree to 1e-9 on every estimate.
+incrementally fused codes), on which every estimate of the explanation
+oracle runs, and the reference estimators in
+:mod:`~repro.infotheory.entropy` / :mod:`~repro.infotheory.mutual_information`
+(one masked entropy call per term), which the tests use as oracles and the
+kernel falls back to on very wide code spaces.  The property tests assert
+both agree to 1e-9 on every estimate.
 """
 
 from repro.infotheory.encoding import (

@@ -13,7 +13,7 @@ observed CMI is essentially zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from repro.infotheory.encoding import joint_codes
 from repro.infotheory.mutual_information import conditional_mutual_information
 from repro.infotheory.permutation import (
     PermutationBudget,
+    PermutationOutcome,
     PermutationPlan,
     report_outcome,
-    resolve_budget,
     sequential_permutation_test,
 )
 from repro.utils.rng import make_rng
@@ -77,6 +77,41 @@ def _permute_within_strata(x: np.ndarray, strata: np.ndarray,
     return permuted
 
 
+def decide(observed: float,
+           run: Callable[[PermutationBudget], PermutationOutcome], *,
+           threshold: float, dependent_threshold: Optional[float],
+           n_permutations: int, alpha: float,
+           budget: Optional[PermutationBudget],
+           counter_hook=None) -> IndependenceResult:
+    """The decision every independence test shares, given its observed CMI.
+
+    Shortcuts first, in this order: independent at or below
+    ``threshold``; dependent at or above ``dependent_threshold`` (when
+    given); dependent when there is no permutation budget.  Otherwise
+    ``run(budget)`` executes the permutation phase (``budget`` defaults to
+    a fixed budget without early exit), the outcome is reported through
+    ``counter_hook`` and the innermost trace span, and independence is
+    declared when the permutation p-value exceeds ``alpha`` (or by the
+    sequential early verdict).
+    """
+    if observed <= threshold:
+        return IndependenceResult(independent=True, cmi=observed, p_value=1.0, n_permutations=0)
+    if dependent_threshold is not None and observed >= dependent_threshold:
+        return IndependenceResult(independent=False, cmi=observed, p_value=0.0, n_permutations=0)
+    if n_permutations <= 0:
+        return IndependenceResult(independent=False, cmi=observed, p_value=0.0, n_permutations=0)
+    if budget is None:
+        budget = PermutationBudget()
+    outcome = run(budget)
+    report_outcome(counter_hook, outcome, n_permutations, budget)
+    return IndependenceResult(independent=outcome.independent(alpha),
+                              cmi=observed,
+                              p_value=outcome.p_value,
+                              n_permutations=outcome.n_run,
+                              early_exit=outcome.verdict is not None,
+                              budget_extensions=outcome.extensions)
+
+
 def conditional_independence_test(x: np.ndarray, y: np.ndarray,
                                   conditioning: Sequence[np.ndarray] = (),
                                   weights: Optional[np.ndarray] = None,
@@ -85,7 +120,6 @@ def conditional_independence_test(x: np.ndarray, y: np.ndarray,
                                   alpha: float = 0.05,
                                   dependent_threshold: Optional[float] = None,
                                   seed: Optional[int] = 0,
-                                  early_exit: bool = False,
                                   counter_hook=None,
                                   budget: Optional[PermutationBudget] = None,
                                   ) -> IndependenceResult:
@@ -102,34 +136,27 @@ def conditional_independence_test(x: np.ndarray, y: np.ndarray,
 
     The permutation loop runs on the blocked engine's precomputed strata
     plan (:mod:`repro.infotheory.permutation`) — same RNG stream, same
-    p-values, no per-permutation strata re-derivation.  With
-    ``early_exit=True`` the sequential decision stops the loop as soon as
-    the verdict is determined; an explicit ``budget`` wins over the flag
-    and may extend ``n_permutations`` adaptively while the verdict stays
+    p-values, no per-permutation strata re-derivation.  ``budget`` (see
+    :func:`decide`) may stop the loop as soon as the verdict is determined
+    and extend ``n_permutations`` adaptively while the verdict stays
     statistically uncertain.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     conditioning = [np.asarray(codes, dtype=np.int64) for codes in conditioning]
     observed = conditional_mutual_information(x, y, conditioning, weights=weights)
-    if observed <= threshold:
-        return IndependenceResult(independent=True, cmi=observed, p_value=1.0, n_permutations=0)
-    if dependent_threshold is not None and observed >= dependent_threshold:
-        return IndependenceResult(independent=False, cmi=observed, p_value=0.0, n_permutations=0)
-    if n_permutations <= 0:
-        return IndependenceResult(independent=False, cmi=observed, p_value=0.0, n_permutations=0)
-    budget = resolve_budget(budget, early_exit)
-    rng = make_rng(seed)
-    strata = joint_codes(conditioning) if conditioning else np.zeros(len(x), dtype=np.int64)
-    outcome = sequential_permutation_test(
-        x, PermutationPlan(strata), rng, observed, n_permutations, alpha,
-        lambda permuted: conditional_mutual_information(
-            permuted, y, conditioning, weights=weights),
-        budget=budget)
-    report_outcome(counter_hook, outcome, n_permutations, budget)
-    return IndependenceResult(independent=outcome.independent(alpha),
-                              cmi=observed,
-                              p_value=outcome.p_value,
-                              n_permutations=outcome.n_run,
-                              early_exit=outcome.verdict is not None,
-                              budget_extensions=outcome.extensions)
+
+    def run(policy: PermutationBudget) -> PermutationOutcome:
+        strata = joint_codes(conditioning) if conditioning \
+            else np.zeros(len(x), dtype=np.int64)
+        return sequential_permutation_test(
+            x, PermutationPlan(strata), make_rng(seed), observed,
+            n_permutations, alpha,
+            lambda permuted: conditional_mutual_information(
+                permuted, y, conditioning, weights=weights),
+            budget=policy)
+
+    return decide(observed, run, threshold=threshold,
+                  dependent_threshold=dependent_threshold,
+                  n_permutations=n_permutations, alpha=alpha, budget=budget,
+                  counter_hook=counter_hook)

@@ -45,7 +45,7 @@ from repro.infotheory.entropy import _ESTIMATORS, _validate_weights, conditional
 from repro.infotheory.independence import (
     DEFAULT_CMI_THRESHOLD,
     IndependenceResult,
-    _permute_within_strata,
+    decide,
 )
 from repro.infotheory.mutual_information import conditional_mutual_information
 from repro.utils.rng import make_rng
@@ -419,83 +419,38 @@ def fast_independence_test(x: np.ndarray, y: np.ndarray,
                            alpha: float = 0.05,
                            dependent_threshold: Optional[float] = None,
                            seed: Optional[int] = 0,
-                           use_blocked: bool = True,
-                           early_exit: bool = False,
-                           block_size: Optional[int] = None,
                            counter_hook=None,
                            budget=None) -> IndependenceResult:
     """Kernel-backed drop-in for ``conditional_independence_test``.
 
     The conditioning set arrives pre-fused (``z``/``n_z``) and is reused
-    across every permutation.  With ``use_blocked=True`` (default) the
-    permutation phase runs on the blocked engine
-    (:func:`repro.infotheory.permutation.blocked_permutation_test`):
-    permutations are sampled in blocks as one fancy-index, all their
-    contingency counts accumulate in one shared ``bincount``, and — because
-    the engine consumes the RNG exactly as the historical loop did — the
-    p-values stay bit-identical (``early_exit=False``).  The permutation
-    strata are the fused codes themselves: they induce the same partition,
-    in the same sorted order, as the reference ``joint_codes`` strata, so
-    verdicts also match the reference test exactly.
+    across every permutation: permutations are sampled in blocks as one
+    fancy-index and all their contingency counts accumulate in one shared
+    ``bincount``
+    (:func:`repro.infotheory.permutation.blocked_permutation_test`).  The
+    fused codes induce the same partition, in the same sorted order, as
+    the reference ``joint_codes`` strata, so the RNG is consumed exactly
+    as the reference test consumes it and verdicts and p-values match it.
 
-    ``early_exit=True`` stops the sequential test as soon as the verdict is
-    determined (see :mod:`repro.infotheory.permutation`); ``counter_hook``
-    (a ``(name, increment)`` callable) observes ``perm_early_exit`` /
-    ``perm_saved`` when that happens.  An explicit ``budget``
-    (:class:`repro.infotheory.permutation.PermutationBudget`) wins over
-    the ``early_exit`` flag wholesale and may additionally extend
-    ``n_permutations`` adaptively (``perm_budget_extended`` /
-    ``perm_budget_saved`` counters) and select the vectorised ``argsort``
-    sampling stream.
+    ``budget`` (:class:`repro.infotheory.permutation.PermutationBudget`,
+    default a fixed budget without early exit) sets the sequential
+    early-exit decision, adaptive extension of ``n_permutations`` and the
+    sampling stream; ``counter_hook`` (a ``(name, increment)`` callable)
+    observes ``perm_early_exit`` / ``perm_saved`` /
+    ``perm_budget_extended`` / ``perm_budget_saved``.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     observed = contingency_cmi(x, y, z, n_z=n_z, weights=weights)
-    if observed <= threshold:
-        return IndependenceResult(independent=True, cmi=observed,
-                                  p_value=1.0, n_permutations=0)
-    if dependent_threshold is not None and observed >= dependent_threshold:
-        return IndependenceResult(independent=False, cmi=observed,
-                                  p_value=0.0, n_permutations=0)
-    if n_permutations <= 0:
-        return IndependenceResult(independent=False, cmi=observed,
-                                  p_value=0.0, n_permutations=0)
-    budget = permutation.resolve_budget(budget, early_exit)
-    rng = make_rng(seed)
-    strata = z if z is not None else np.zeros(len(x), dtype=np.int64)
-    if use_blocked:
-        fused_z = np.asarray(strata, dtype=np.int64)
-        card_z = n_z if z is not None and n_z is not None \
-            else code_cardinality(fused_z)
-        outcome = permutation.blocked_permutation_test(
-            x, y, fused_z, card_z, weights, observed, n_permutations, alpha,
-            rng, block_size=block_size, budget=budget)
-        # Savings are counted against the permutations actually scored
-        # (the block look-ahead is paid work, not a saving).
-        permutation.report_outcome(counter_hook, outcome, n_permutations,
-                                   budget)
-        return IndependenceResult(independent=outcome.independent(alpha),
-                                  cmi=observed,
-                                  p_value=outcome.p_value,
-                                  n_permutations=outcome.n_run,
-                                  early_exit=outcome.verdict is not None,
-                                  budget_extensions=outcome.extensions)
-    # Historical per-permutation loop (use_blocked=False) — kept as the
-    # benchmark's pre-blocked reference; the budgeted sequential decision
-    # still applies so the config flags mean the same thing on every path.
-    state = permutation.BudgetedSequentialTest(n_permutations, alpha, budget)
-    verdict = None
-    while state.want_more:
-        permuted = _permute_within_strata(x, strata, rng)
-        null_cmi = contingency_cmi(permuted, y, z, n_z=n_z, weights=weights)
-        verdict = state.update(null_cmi >= observed)
-        if verdict is not None:
-            break
-    outcome = state.outcome(verdict, state.done)
-    permutation.report_outcome(counter_hook, outcome, n_permutations, budget)
-    return IndependenceResult(independent=outcome.independent(alpha),
-                              cmi=observed,
-                              p_value=outcome.p_value,
-                              n_permutations=outcome.n_run,
-                              early_exit=outcome.verdict is not None,
-                              budget_extensions=outcome.extensions)
+    strata = np.zeros(len(x), dtype=np.int64) if z is None \
+        else np.asarray(z, dtype=np.int64)
+    if z is None or n_z is None:
+        n_z = code_cardinality(strata)
+    return decide(
+        observed,
+        lambda policy: permutation.blocked_permutation_test(
+            x, y, strata, n_z, weights, observed, n_permutations, alpha,
+            make_rng(seed), budget=policy),
+        threshold=threshold, dependent_threshold=dependent_threshold,
+        n_permutations=n_permutations, alpha=alpha, budget=budget,
+        counter_hook=counter_hook)

@@ -3,14 +3,14 @@
 Both independence tests (:func:`repro.infotheory.independence.
 conditional_independence_test` and :func:`repro.infotheory.kernel.
 fast_independence_test`) estimate a permutation p-value by re-computing the
-CMI after permuting ``X`` within strata of the conditioning set.  The
-historical loops paid three avoidable costs *per permutation*:
+CMI after permuting ``X`` within strata of the conditioning set.  A
+per-permutation loop pays three avoidable costs *per permutation*:
 
 * re-deriving the strata (``np.unique`` + one ``np.where`` per stratum —
   ``O(n · n_strata)``) although the strata never change;
 * one full Python round-trip through the estimator per permutation;
-* on the kernel path, one independent ``bincount`` per permutation although
-  the conditioning codes are already fused.
+* one independent ``bincount`` per permutation although the conditioning
+  codes are already fused.
 
 This module restructures the permutation layer:
 
@@ -24,15 +24,16 @@ This module restructures the permutation layer:
   per-permutation offset fused codes, then the per-permutation entropies are
   read off prefix-trimmed views of the count tensor with the *same*
   arithmetic as :func:`repro.infotheory.kernel.contingency_cmi` — the null
-  CMIs (and hence the p-values) are bit-identical to the per-permutation
-  kernel loop while paying one ``bincount`` per block instead of per
-  permutation.
+  CMIs (and hence the p-values) are bit-identical to scoring each
+  permutation with the kernel while paying one ``bincount`` per block
+  instead of per permutation.
 * :func:`sequential_permutation_test` drives an arbitrary per-permutation
   statistic (the reference estimators use this) through the same plan and
   early-exit decision.
 
-Early exit (``early_exit=True``) is a *sequential* test on the exceedance
-count.  Two deterministic bounds never flip the fixed-``N`` verdict: with
+Early exit (``PermutationBudget(early_exit=True)``) is a *sequential* test
+on the exceedance count.  Two deterministic bounds never flip the
+fixed-``N`` verdict: with
 ``k`` exceedances after ``m`` of ``N`` permutations the final p-value
 ``(K + 1) / (N + 1)`` is bracketed by ``k <= K <= k + (N - m)``, so the test
 stops as soon as the bracket lies entirely above or below ``alpha``
@@ -56,9 +57,8 @@ as the fixed-budget sequential test would (same bracket, same verdict); a
 test that does extend was, by construction, statistically uncertain at
 the base budget, and its final verdict rests on a strictly larger sample.
 :class:`BudgetedSequentialTest` is the one decision object shared by
-every driver — the scalar loop, the blocked kernel driver, the legacy
-per-permutation loop in :func:`repro.infotheory.kernel.
-fast_independence_test`, and the row-sharded coordinator
+every driver — the scalar loop, the blocked kernel driver and the
+row-sharded coordinator
 (:meth:`repro.distributed.coordinator.ShardPool.permutation_rounds`,
 whose chunk-aligned per-shard RNG streams make extension deterministic
 and resume-safe).
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -409,15 +409,6 @@ class PermutationBudget:
         return max(base, self.max_permutations)
 
 
-def resolve_budget(budget: Optional[PermutationBudget],
-                   early_exit: bool) -> PermutationBudget:
-    """The effective budget: an explicit policy wins wholesale, otherwise
-    the legacy ``early_exit`` flag maps onto a fixed-budget policy."""
-    if budget is not None:
-        return budget
-    return PermutationBudget(early_exit=early_exit)
-
-
 class PermutationOutcome:
     """Result of one (possibly budget-extended) permutation run.
 
@@ -470,10 +461,10 @@ class PermutationOutcome:
 class BudgetedSequentialTest:
     """Mutable decision state of one budgeted sequential permutation test.
 
-    Every driver (scalar, blocked, legacy loop, sharded coordinator) feeds
-    exceedance outcomes through :meth:`update` one permutation at a time;
-    the object owns the early-exit decision *and* the extension decision,
-    so the four drivers cannot drift apart:
+    Every driver (scalar, blocked, sharded coordinator) feeds exceedance
+    outcomes through :meth:`update` one permutation at a time; the object
+    owns the early-exit decision *and* the extension decision, so the
+    three drivers cannot drift apart:
 
     * while ``done < target`` the sequential verdict applies whenever
       ``early_exit`` is set, or unconditionally once the test is past its
@@ -552,7 +543,7 @@ def report_outcome(counter_hook, outcome: PermutationOutcome,
 
     Also tags the innermost open trace span (the per-test
     ``permutation_test`` span) with the outcome, so every driver —
-    scalar, blocked, legacy loop, sharded — reports identically.
+    scalar, blocked, sharded — reports identically.
     """
     trace.annotate(
         permutations_run=outcome.n_run,
@@ -581,7 +572,6 @@ def sequential_permutation_test(
         x: np.ndarray, plan: PermutationPlan, rng: np.random.Generator,
         observed: float, n_permutations: int, alpha: float,
         null_statistic: Callable[[np.ndarray], float],
-        early_exit: bool = False,
         budget: Optional[PermutationBudget] = None) -> PermutationOutcome:
     """Drive a per-permutation statistic through the plan.
 
@@ -590,14 +580,13 @@ def sequential_permutation_test(
     early decision (``None`` when the test ran to completion — the caller
     then derives the verdict from the p-value as before) and ``computed``
     is the number of null statistics actually evaluated (equal to
-    ``n_run`` here; the blocked driver may look ahead).  With a
-    non-adaptive budget and ``early_exit=False`` this is a bit-identical
-    restructuring of the historical loop: same permutations, same
-    statistics, same counts.  An adaptive ``budget`` may extend
-    ``n_permutations`` geometrically while the verdict stays uncertain
-    (always on the legacy scalar RNG stream — this driver never batches).
+    ``n_run`` here; the blocked driver may look ahead).  With the default
+    budget (fixed, no early exit) this is a bit-identical restructuring of
+    the historical loop: same permutations, same statistics, same counts.
+    An adaptive ``budget`` may extend ``n_permutations`` geometrically
+    while the verdict stays uncertain (always on the legacy scalar RNG
+    stream — this driver never batches).
     """
-    budget = resolve_budget(budget, early_exit)
     state = BudgetedSequentialTest(n_permutations, alpha, budget)
     verdict: Optional[bool] = None
     while state.want_more:
@@ -612,8 +601,7 @@ def sequential_permutation_test(
 # blocked kernel driver (fused conditioning codes)
 # --------------------------------------------------------------------------- #
 def _block_null_cmis(x_block: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     n_z: int, weights: Optional[np.ndarray],
-                     estimator: str, base: float) -> np.ndarray:
+                     n_z: int, weights: Optional[np.ndarray]) -> np.ndarray:
     """Null CMIs of every permutation row of ``x_block`` in one bincount.
 
     Bit-identical to calling :func:`repro.infotheory.kernel.contingency_cmi`
@@ -621,7 +609,7 @@ def _block_null_cmis(x_block: np.ndarray, y: np.ndarray, z: np.ndarray,
     read off per-permutation *prefix-trimmed* views of the count tensor so
     every reduction runs over exactly the array the scalar kernel builds.
     """
-    from repro.infotheory.kernel import entropy_from_counts
+    from repro.infotheory.kernel import cmi_from_counts
 
     n_block, n_rows = x_block.shape
     base_mask = (y >= 0) & (z >= 0)
@@ -656,16 +644,8 @@ def _block_null_cmis(x_block: np.ndarray, y: np.ndarray, z: np.ndarray,
         # make it contiguous — so the marginal reductions run over the exact
         # arrays the scalar kernel would reduce (identical layouts and
         # therefore identical pairwise-summation trees).
-        tensor = np.ascontiguousarray(
-            counts[index, :, :int(n_y_rows[index]), :int(n_x_rows[index])])
-        h_xyz = entropy_from_counts(tensor.ravel(), estimator=estimator, base=base)
-        h_xz = entropy_from_counts(tensor.sum(axis=1).ravel(),
-                                   estimator=estimator, base=base)
-        h_yz = entropy_from_counts(tensor.sum(axis=2).ravel(),
-                                   estimator=estimator, base=base)
-        h_z = entropy_from_counts(tensor.sum(axis=(1, 2)),
-                                  estimator=estimator, base=base)
-        cmis[index] = max(0.0, h_xz + h_yz - h_xyz - h_z)
+        cmis[index] = cmi_from_counts(np.ascontiguousarray(
+            counts[index, :, :int(n_y_rows[index]), :int(n_x_rows[index])]))
     return cmis
 
 
@@ -673,9 +653,7 @@ def blocked_permutation_test(
         x: np.ndarray, y: np.ndarray, z: np.ndarray, n_z: int,
         weights: Optional[np.ndarray], observed: float,
         n_permutations: int, alpha: float, rng: np.random.Generator,
-        estimator: str = "plugin", base: float = 2.0,
-        early_exit: bool = False, block_size: Optional[int] = None,
-        budget: Optional[PermutationBudget] = None) -> PermutationOutcome:
+        budget: PermutationBudget) -> PermutationOutcome:
     """Blocked permutation p-value machinery over fused conditioning codes.
 
     Samples permutations in blocks (one fancy-index + one shared bincount
@@ -686,17 +664,17 @@ def blocked_permutation_test(
     CMIs actually evaluated, which on an early exit includes the current
     block's look-ahead beyond ``n_run`` (the decision only sees a block
     after it is scored), so callers reporting savings use ``computed``,
-    not ``n_run``.  With a non-adaptive budget, ``early_exit=False`` and
-    the legacy RNG stream, the exceedance count — and therefore the
-    p-value — is bit-identical to the per-permutation kernel loop over
-    the same RNG stream.  An adaptive ``budget`` extends the target
+    not ``n_run``.  With the default budget (fixed, no early exit, legacy
+    RNG stream) the exceedance count — and therefore the p-value — is
+    bit-identical to a per-permutation loop of
+    :func:`repro.infotheory.kernel.contingency_cmi` over the same RNG
+    stream.  An adaptive ``budget`` extends the target
     geometrically while the Clopper–Pearson interval straddles ``alpha``;
     look-ahead permutations already scored when an extension fires are
     consumed, not re-drawn.
     """
     from repro.infotheory import kernel
 
-    budget = resolve_budget(budget, early_exit)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
@@ -714,14 +692,11 @@ def blocked_permutation_test(
         return sequential_permutation_test(
             x, plan, rng, observed, n_permutations, alpha,
             lambda permuted: kernel.contingency_cmi(
-                permuted, y, z, n_z=n_z, weights=weights,
-                estimator=estimator, base=base),
-            early_exit=early_exit, budget=budget)
+                permuted, y, z, n_z=n_z, weights=weights),
+            budget=budget)
     state = BudgetedSequentialTest(n_permutations, alpha, budget)
-    if block_size is None:
-        block_size = max(1, min(state.cap,
-                                BLOCK_CELL_BUDGET // cells_bound,
-                                BLOCK_ROW_BUDGET // max(1, len(x))))
+    block_size = max(1, min(state.cap, BLOCK_CELL_BUDGET // cells_bound,
+                            BLOCK_ROW_BUDGET // max(1, len(x))))
     computed = 0
     # Blocking never changes the legacy RNG stream (permutations are drawn
     # sequentially regardless of block boundaries), so the early-exit ramp
@@ -740,7 +715,7 @@ def blocked_permutation_test(
         ramp = min(ramp * 4, block_size)
         block = plan.permute_block(x, rng, count,
                                    rng_stream=budget.rng_stream)
-        null_cmis = _block_null_cmis(block, y, z, n_z, weights, estimator, base)
+        null_cmis = _block_null_cmis(block, y, z, n_z, weights)
         computed += count
         for value in null_cmis:
             if not state.want_more:

@@ -165,8 +165,6 @@ class SelectionFitCache:
 def compute_ipw_weights_batched(frame, attributes: Sequence[str],
                                 predictor_columns: Sequence[str],
                                 clip: float = 10.0, l2: float = 1e-3,
-                                features: Optional[np.ndarray] = None,
-                                row_groups: Optional[np.ndarray] = None,
                                 design_factory=None,
                                 cache: Optional[SelectionFitCache] = None,
                                 counter_hook=None,
@@ -182,8 +180,7 @@ def compute_ipw_weights_batched(frame, attributes: Sequence[str],
     ``design_factory`` — a zero-argument callable returning
     ``(features, row_groups)`` — is invoked only when at least one fit
     actually has to run, so a fully cached batch (the warm serving shape)
-    never pays for building the one-hot design matrix.  Pass ``features``
-    / ``row_groups`` directly when they are already built.
+    never pays for building the one-hot design matrix.
 
     ``counter_hook`` (``(name, increment)``) observes ``ipw_fit_hit`` — a
     cache hit *or* a same-mask sibling inside the batch — and
@@ -211,8 +208,8 @@ def compute_ipw_weights_batched(frame, attributes: Sequence[str],
     with trace.span("ipw.fit_batch", attributes=len(attributes)):
         try:
             return _ipw_weights_batched(
-                frame, attributes, predictor_columns, clip, l2, features,
-                row_groups, design_factory, cache, count, fitter)
+                frame, attributes, predictor_columns, clip, l2,
+                design_factory, cache, count, fitter)
         finally:
             trace.annotate(fit_hits=tallies["ipw_fit_hit"],
                            fit_misses=tallies["ipw_fit_miss"])
@@ -221,8 +218,6 @@ def compute_ipw_weights_batched(frame, attributes: Sequence[str],
 def _ipw_weights_batched(frame, attributes: Sequence[str],
                          predictor_columns: Sequence[str],
                          clip: float, l2: float,
-                         features: Optional[np.ndarray],
-                         row_groups: Optional[np.ndarray],
                          design_factory,
                          cache: Optional[SelectionFitCache],
                          count,
@@ -266,11 +261,11 @@ def _ipw_weights_batched(frame, attributes: Sequence[str],
             pending_masks[mask_key] = observed
     if not pending:
         return results
-    if features is None and design_factory is not None:
+    if design_factory is not None:
         features, row_groups = design_factory()
-    if features is None:
-        features = one_hot_encode_codes(
-            [frame.codes(column) for column in predictor_columns])
+    else:
+        features, row_groups = one_hot_encode_codes(
+            [frame.codes(column) for column in predictor_columns]), None
     mask_keys = list(pending)
     labels = np.stack(
         [pending_masks[mask_key].astype(np.float64) for mask_key in mask_keys],

@@ -12,7 +12,7 @@ weights then flow into the weighted entropy estimators of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,9 +55,7 @@ class IPWWeights:
 def compute_ipw_weights(frame: EncodedFrame, attribute: str,
                         predictor_columns: Sequence[str],
                         clip: float = 10.0,
-                        l2: float = 1e-3,
-                        features: Optional[np.ndarray] = None,
-                        row_groups: Optional[np.ndarray] = None) -> IPWWeights:
+                        l2: float = 1e-3) -> IPWWeights:
     """Compute IPW weights for ``attribute`` using the listed predictors.
 
     Parameters
@@ -76,15 +74,6 @@ def compute_ipw_weights(frame: EncodedFrame, attribute: str,
         standard practice in the IPW literature.
     l2:
         Ridge penalty passed to the logistic regression.
-    features:
-        Optional pre-built one-hot feature matrix for ``predictor_columns``
-        (the selection models of many attributes share the same predictors,
-        so the caller can encode once and reuse).
-    row_groups:
-        Optional per-row id of the distinct predictor-value combination
-        (see :meth:`LogisticRegression.fit`); like ``features`` it is
-        shared across every biased attribute of a query, so the caller
-        computes it once.
     """
     if clip <= 0:
         raise MissingDataError(f"clip must be positive, got {clip}")
@@ -99,10 +88,9 @@ def compute_ipw_weights(frame: EncodedFrame, attribute: str,
         return IPWWeights(attribute=attribute, weights=weights,
                           selection_rate=selection_rate, model_converged=True)
 
-    if features is None:
-        features = one_hot_encode_codes([frame.codes(column) for column in predictor_columns])
+    features = one_hot_encode_codes([frame.codes(column) for column in predictor_columns])
     model = LogisticRegression(l2=l2)
-    model.fit(features, observed.astype(np.float64), row_groups=row_groups)
+    model.fit(features, observed.astype(np.float64))
     predicted = np.clip(model.predict_proba(features), 1e-3, 1.0)
     raw = np.clip(selection_rate / predicted, 0.0, clip)
     weights[observed] = raw[observed]

@@ -12,8 +12,9 @@ and estimates of ``I(E; E')`` are recoverable when
 
 When the conditions fail the attribute suffers from selection bias and the
 MCIMR computation must use the IPW weights of :mod:`repro.missingness.ipw`.
-The conditional-independence tests reuse the permutation test of
-:mod:`repro.infotheory.independence`.
+The conditional-independence tests run on the kernel's
+:func:`~repro.infotheory.kernel.fast_independence_test`; they only ever
+condition on a single variable, whose codes are their own strata.
 """
 
 from __future__ import annotations
@@ -24,27 +25,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.infotheory.encoding import EncodedFrame, joint_codes
-from repro.infotheory.independence import conditional_independence_test
 from repro.infotheory.kernel import code_cardinality, fast_independence_test
-
-
-def _independence(x: np.ndarray, y: np.ndarray, conditioning: Sequence[np.ndarray],
-                  use_kernel: bool, **kwargs):
-    """Dispatch one CI test to the kernel or the reference implementation.
-
-    The recoverability conditions only ever condition on a single variable,
-    so the kernel path needs no joint coding — the conditioning codes are
-    their own strata, and verdicts match the reference test exactly.  The
-    kernel path runs on the blocked permutation engine by default
-    (``use_blocked`` / ``early_exit`` forward through ``kwargs``).
-    """
-    if not use_kernel:
-        kwargs.pop("use_blocked", None)
-        return conditional_independence_test(x, y, conditioning, **kwargs)
-    if not conditioning:
-        return fast_independence_test(x, y, None, **kwargs)
-    z = np.asarray(conditioning[0], dtype=np.int64)
-    return fast_independence_test(x, y, z, n_z=code_cardinality(z), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -75,6 +56,16 @@ class RecoverabilityReport:
     details: Dict[str, bool]
 
 
+def _independent(x: np.ndarray, y: np.ndarray, z: Optional[np.ndarray],
+                 threshold: float, n_permutations: int,
+                 seed: Optional[int]) -> bool:
+    """One kernel CI test of ``x ⊥ y | z``; ``z`` is one variable or ``None``."""
+    return fast_independence_test(
+        x, y, z, n_z=None if z is None else code_cardinality(z),
+        threshold=threshold, n_permutations=n_permutations,
+        seed=seed).independent
+
+
 def _selection_indicator(frame: EncodedFrame, attribute: str) -> np.ndarray:
     """The ``R_E`` indicator as a 0/1 code array (never missing)."""
     return frame.observed_mask(attribute).astype(np.int64)
@@ -82,8 +73,7 @@ def _selection_indicator(frame: EncodedFrame, attribute: str) -> np.ndarray:
 
 def cmi_is_recoverable(frame: EncodedFrame, outcome: str, treatment: str, attribute: str,
                        cmi_threshold: float = 0.02, n_permutations: int = 20,
-                       seed: Optional[int] = 0, use_kernel: bool = True,
-                       **test_kwargs) -> Dict[str, bool]:
+                       seed: Optional[int] = 0) -> Dict[str, bool]:
     """Check the (testable surrogate of the) conditions of Proposition 3.1.
 
     The proposition's conditions condition on ``E`` itself, which cannot be
@@ -102,27 +92,20 @@ def cmi_is_recoverable(frame: EncodedFrame, outcome: str, treatment: str, attrib
     selection = _selection_indicator(frame, attribute)
     outcome_codes = frame.codes(outcome)
     treatment_codes = frame.codes(treatment)
-    first = _independence(
-        outcome_codes, selection, [], use_kernel,
-        threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
-        **test_kwargs,
-    )
-    second = _independence(
-        outcome_codes, selection, [treatment_codes], use_kernel,
-        threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
-        **test_kwargs,
-    )
+    first = _independent(outcome_codes, selection, None, cmi_threshold,
+                         n_permutations, seed)
+    second = _independent(outcome_codes, selection, treatment_codes,
+                          cmi_threshold, n_permutations, seed)
     return {
-        "O_indep_R": first.independent,
-        "O_indep_R_given_T": second.independent,
-        "recoverable": first.independent and second.independent,
+        "O_indep_R": first,
+        "O_indep_R_given_T": second,
+        "recoverable": first and second,
     }
 
 
 def mi_is_recoverable(frame: EncodedFrame, attribute: str, other: str,
                       cmi_threshold: float = 0.02, n_permutations: int = 20,
-                      seed: Optional[int] = 0, use_kernel: bool = True,
-                      **test_kwargs) -> Dict[str, bool]:
+                      seed: Optional[int] = 0) -> Dict[str, bool]:
     """Check the two conditions of Proposition 3.2 for ``I(E; E')``."""
     selection_pair = joint_codes([
         _selection_indicator(frame, attribute),
@@ -130,29 +113,21 @@ def mi_is_recoverable(frame: EncodedFrame, attribute: str, other: str,
     ])
     attribute_codes = frame.codes(attribute)
     other_codes = frame.codes(other)
-    first = _independence(
-        attribute_codes, selection_pair, [], use_kernel,
-        threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
-        **test_kwargs,
-    )
-    second = _independence(
-        attribute_codes, selection_pair, [other_codes], use_kernel,
-        threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
-        **test_kwargs,
-    )
+    first = _independent(attribute_codes, selection_pair, None,
+                         cmi_threshold, n_permutations, seed)
+    second = _independent(attribute_codes, selection_pair, other_codes,
+                          cmi_threshold, n_permutations, seed)
     return {
-        "E_indep_R": first.independent,
-        "E_indep_R_given_other": second.independent,
-        "recoverable": first.independent and second.independent,
+        "E_indep_R": first,
+        "E_indep_R_given_other": second,
+        "recoverable": first and second,
     }
 
 
 def attribute_selection_bias(frame: EncodedFrame, outcome: str, treatment: str,
                              attribute: str, cmi_threshold: float = 0.02,
                              n_permutations: int = 20,
-                             seed: Optional[int] = 0,
-                             use_kernel: bool = True,
-                             **test_kwargs) -> RecoverabilityReport:
+                             seed: Optional[int] = 0) -> RecoverabilityReport:
     """Full recoverability report for one candidate attribute.
 
     An attribute with no missing values is trivially recoverable.  Otherwise
@@ -169,8 +144,7 @@ def attribute_selection_bias(frame: EncodedFrame, outcome: str, treatment: str,
         )
     verdicts = cmi_is_recoverable(frame, outcome, treatment, attribute,
                                   cmi_threshold=cmi_threshold,
-                                  n_permutations=n_permutations, seed=seed,
-                                  use_kernel=use_kernel, **test_kwargs)
+                                  n_permutations=n_permutations, seed=seed)
     recoverable = verdicts.pop("recoverable")
     return RecoverabilityReport(
         attribute=attribute,

@@ -2,20 +2,64 @@
 
 Everything is session-scoped and deliberately small so the whole suite runs
 in well under a minute; the benchmarks (not the tests) are where the larger
-configurations live.
+configurations live.  ``looped_independence_test`` is the per-permutation
+oracle the blocked permutation engine is checked against.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
+from repro.infotheory.independence import (
+    DEFAULT_CMI_THRESHOLD,
+    IndependenceResult,
+    _permute_within_strata,
+)
+from repro.infotheory.kernel import code_cardinality, contingency_cmi
+from repro.infotheory.permutation import BudgetedSequentialTest
 from repro.kg.synthetic import SyntheticKGConfig, build_world_knowledge_graph
 from repro.query.aggregate_query import AggregateQuery
 from repro.table.expressions import Eq
 from repro.table.table import Table
+from repro.utils.rng import make_rng
 
 SMALL_KG_CONFIG = SyntheticKGConfig(seed=3, n_noise_properties=6, missing_rate=0.10)
+
+
+def looped_independence_test(x, y, z, weights=None, n_permutations=30,
+                             alpha=0.05, seed=0, budget=None,
+                             threshold=DEFAULT_CMI_THRESHOLD
+                             ) -> IndependenceResult:
+    """One ``_permute_within_strata`` draw and one ``contingency_cmi`` per
+    permutation, decided by :class:`BudgetedSequentialTest`.
+
+    The strata are the codes of ``z`` themselves; the blocked engine must
+    consume the RNG the same way and reach the same counts.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    n_z = code_cardinality(z)
+    observed = contingency_cmi(x, y, z, n_z=n_z, weights=weights)
+    if observed <= threshold:
+        return IndependenceResult(independent=True, cmi=observed,
+                                  p_value=1.0, n_permutations=0)
+    rng = make_rng(seed)
+    state = BudgetedSequentialTest(n_permutations, alpha, budget)
+    verdict = None
+    while state.want_more:
+        permuted = _permute_within_strata(x, z, rng)
+        verdict = state.update(contingency_cmi(
+            permuted, y, z, n_z=n_z, weights=weights) >= observed)
+        if verdict is not None:
+            break
+    outcome = state.outcome(verdict, state.done)
+    return IndependenceResult(independent=outcome.independent(alpha),
+                              cmi=observed, p_value=outcome.p_value,
+                              n_permutations=outcome.n_run,
+                              early_exit=outcome.verdict is not None,
+                              budget_extensions=outcome.extensions)
 
 
 def pytest_configure(config):

@@ -39,6 +39,7 @@ from repro.infotheory.permutation import (
 from repro.mesa.config import MESAConfig
 from repro.serving.service import ExplanationService
 from repro.utils.rng import make_rng
+from tests.conftest import looped_independence_test
 
 TOL = 1e-9
 
@@ -189,11 +190,9 @@ class TestAdaptiveNeverFlipsUnlessExtended:
         n_z = code_cardinality(z)
         budget = PermutationBudget(max_permutations=60, early_exit=True)
         blocked = fast_independence_test(x, y, z, n_z=n_z, n_permutations=20,
-                                         seed=seed, budget=budget,
-                                         use_blocked=True)
-        legacy = fast_independence_test(x, y, z, n_z=n_z, n_permutations=20,
-                                        seed=seed, budget=budget,
-                                        use_blocked=False)
+                                         seed=seed, budget=budget)
+        legacy = looped_independence_test(x, y, z, n_permutations=20,
+                                          seed=seed, budget=budget)
         assert blocked.independent == legacy.independent
         assert blocked.budget_extensions == legacy.budget_extensions
         assert abs(blocked.p_value - legacy.p_value) < 1e-12

@@ -40,6 +40,8 @@ from repro.infotheory.kernel import (
     joint_counts,
     merge_counts,
 )
+from repro.infotheory import kernel
+from repro.infotheory.permutation import PermutationBudget
 from repro.mesa.config import MESAConfig
 from repro.missingness.logistic import fit_logistic_multi, one_hot_encode_codes
 from repro.serving.client import HTTPClient, LocalClient
@@ -253,7 +255,7 @@ class TestShardPool:
                     ctx, x=[("col", "p:x")], y=[("col", "p:y")], z=None,
                     n_x=3, n_y=4, n_z=1, weights=None,
                     observed=0.01, n_permutations=40, alpha=0.05,
-                    seed=7, early_exit=False,
+                    seed=7, budget=PermutationBudget(),
                     provider=shard_data.__getitem__))
         assert results[0] == results[1]
         exceed, n_run, verdict, computed = results[0]
@@ -277,7 +279,7 @@ class TestShardPool:
                     ctx, x=[("col", "p:x")], y=[("col", "p:y")], z=None,
                     n_x=3, n_y=4, n_z=1, weights=None,
                     observed=observed, n_permutations=100, alpha=alpha,
-                    seed=13, early_exit=early_exit,
+                    seed=13, budget=PermutationBudget(early_exit=early_exit),
                     provider=shard_data.__getitem__)
         full_exceed, full_run, _, _ = results[False]
         exceed, n_run, verdict, computed = results[True]
@@ -422,6 +424,33 @@ class TestShardedPipelineEquality:
         reference = plain.run_explainer(get_explainer(name), query, k=3)
         ours = sharded.run_explainer(get_explainer(name), query, k=3)
         self._assert_equal(ours, reference)
+
+
+class TestShardCountsFallback:
+    def test_dense_cell_fallback_times_each_test_once(self, covid_bundle,
+                                                      monkeypatch):
+        """A test whose count tensor exceeds the dense-cell budget runs on
+        the local fallback inside the same span: one ``permutation_test``
+        seconds-hook call per test, as on the pool and the local path."""
+        pipeline = ExplanationPipeline(
+            covid_bundle.table, covid_bundle.knowledge_graph,
+            covid_bundle.extraction_specs,
+            config=MESAConfig(excluded_columns=covid_bundle.id_columns))
+        with ShardPool(n_shards=2) as pool:
+            pipeline.context.shard_pool = pool
+            pipeline.context.shard_label = covid_bundle.name
+            problem = pipeline.explain(covid_bundle.queries[0].query,
+                                       k=3).problem
+            calls = []
+            problem.seconds_hook = lambda name, seconds: calls.append(name)
+            before = pipeline.context.counters.get("shard_local_fallback", 0)
+            monkeypatch.setattr(kernel, "DENSE_CELL_LIMIT", 1)
+            result = problem.independence_test(
+                problem.outcome, problem.exposure, [problem.candidates[0]],
+                threshold=0.0, n_permutations=5)
+        assert result.n_permutations == 5
+        assert pipeline.context.counters["shard_local_fallback"] == before + 1
+        assert calls == ["permutation_test"]
 
 
 # --------------------------------------------------------------------------- #

@@ -3,8 +3,9 @@
 Two pillars, matching the backend's two halves:
 
 * **Blocked permutation engine** (:mod:`repro.infotheory.permutation`) —
-  with early exit off, the blocked path consumes the RNG exactly as the
-  historical per-permutation loop and produces bit-identical p-values
+  with early exit off, the blocked path consumes the RNG exactly as a
+  per-permutation loop (``looped_independence_test``) and produces
+  bit-identical p-values
   (asserted to 1e-12, i.e. exactly); with early exit on, the sequential
   decision never flips an accept/reject verdict at ``alpha ± 0.01``
   margins around the default significance level.
@@ -24,11 +25,12 @@ from repro.infotheory.independence import (
     _permute_within_strata,
     conditional_independence_test,
 )
-from repro.infotheory.kernel import code_cardinality, contingency_cmi, fast_independence_test
+from repro.infotheory.kernel import code_cardinality, fast_independence_test
 from repro.infotheory.mutual_information import conditional_mutual_information
 from repro.infotheory.encoding import encode_table, joint_codes
 from repro.infotheory.permutation import (
     CP_MIN_PERMUTATIONS,
+    PermutationBudget,
     PermutationPlan,
     sequential_verdict,
 )
@@ -43,6 +45,7 @@ from repro.missingness.ipw import compute_ipw_weights
 from repro.missingness.logistic import LogisticRegression, fit_logistic_multi
 from repro.table.table import Table
 from repro.utils.rng import make_rng
+from tests.conftest import looped_independence_test
 
 #: Alpha margins required by the early-exit property: the verdict with
 #: early exit on must equal the full run at the default level and ±0.01.
@@ -69,15 +72,14 @@ class TestBlockedPermutationEngine:
     @given(data=st.data(), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_blocked_pvalues_equal_legacy_loop(self, data, seed):
-        """Blocked == legacy to 1e-12 (in fact exactly) with early exit off."""
+        """Blocked == the per-permutation loop to 1e-12 (in fact exactly)
+        with early exit off."""
         x, y, z, weights = data.draw(coded_instances())
         n_z = code_cardinality(z)
         blocked = fast_independence_test(x, y, z, n_z=n_z, weights=weights,
-                                         n_permutations=25, seed=seed,
-                                         use_blocked=True)
-        legacy = fast_independence_test(x, y, z, n_z=n_z, weights=weights,
-                                        n_permutations=25, seed=seed,
-                                        use_blocked=False)
+                                         n_permutations=25, seed=seed)
+        legacy = looped_independence_test(x, y, z, weights=weights,
+                                          n_permutations=25, seed=seed)
         assert abs(blocked.p_value - legacy.p_value) < 1e-12
         assert blocked.independent == legacy.independent
         assert blocked.cmi == legacy.cmi
@@ -93,9 +95,10 @@ class TestBlockedPermutationEngine:
             full = fast_independence_test(x, y, z, n_z=n_z, weights=weights,
                                           n_permutations=25, alpha=alpha,
                                           seed=seed)
-            fast = fast_independence_test(x, y, z, n_z=n_z, weights=weights,
-                                          n_permutations=25, alpha=alpha,
-                                          seed=seed, early_exit=True)
+            fast = fast_independence_test(
+                x, y, z, n_z=n_z, weights=weights, n_permutations=25,
+                alpha=alpha, seed=seed,
+                budget=PermutationBudget(early_exit=True))
             assert fast.independent == full.independent
             assert fast.n_permutations <= full.n_permutations
             assert fast.cmi == full.cmi
@@ -158,7 +161,7 @@ class TestBlockedPermutationEngine:
 
         result = fast_independence_test(
             x, y, None, n_permutations=200, threshold=0.0,
-            early_exit=True, counter_hook=hook)
+            budget=PermutationBudget(early_exit=True), counter_hook=hook)
         assert result.early_exit
         assert result.independent
         assert result.n_permutations < 200
@@ -168,28 +171,9 @@ class TestBlockedPermutationEngine:
         # work, so perm_saved may be smaller than budget - n_run.
         assert 0 < counters["perm_saved"] <= 200 - result.n_permutations
 
-    def test_legacy_loop_honors_early_exit_too(self):
-        # use_blocked=False must mean "per-permutation loop", not "ignore
-        # the early-exit flag": both paths agree on verdicts and exits.
-        rng = np.random.default_rng(3)
-        x = rng.integers(0, 4, 300)
-        y = (x + rng.integers(0, 2, 300)) % 4
-        z = rng.integers(0, 3, 300)
-        n_z = code_cardinality(z)
-        for early in (False, True):
-            blocked = fast_independence_test(x, y, z, n_z=n_z, threshold=0.0,
-                                             n_permutations=60, seed=1,
-                                             early_exit=early)
-            legacy = fast_independence_test(x, y, z, n_z=n_z, threshold=0.0,
-                                            n_permutations=60, seed=1,
-                                            early_exit=early, use_blocked=False)
-            assert blocked.independent == legacy.independent
-            assert blocked.n_permutations == legacy.n_permutations
-            assert blocked.early_exit == legacy.early_exit
-
     def test_blocked_supports_both_estimator_weight_shapes(self):
         # A deterministic spot-check that weighted blocked tests also match
-        # a hand-rolled per-permutation loop (exceedances included).
+        # the per-permutation loop (exceedances included).
         rng = np.random.default_rng(9)
         n = 300
         x = rng.integers(-1, 5, n)
@@ -197,18 +181,14 @@ class TestBlockedPermutationEngine:
         z = rng.integers(0, 4, n)
         weights = rng.uniform(0.0, 2.0, n)
         n_z = code_cardinality(z)
-        observed = contingency_cmi(x, y, z, n_z=n_z, weights=weights)
-        gen = make_rng(123)
-        exceed = 0
-        for _ in range(40):
-            permuted = _permute_within_strata(x, z, gen)
-            if contingency_cmi(permuted, y, z, n_z=n_z,
-                               weights=weights) >= observed:
-                exceed += 1
+        looped = looped_independence_test(x, y, z, weights=weights,
+                                          threshold=0.0, n_permutations=40,
+                                          seed=123)
         blocked = fast_independence_test(x, y, z, n_z=n_z, weights=weights,
                                          threshold=0.0, n_permutations=40,
                                          seed=123)
-        assert blocked.p_value == (exceed + 1) / 41
+        assert looped.n_permutations == 40
+        assert blocked.p_value == looped.p_value
 
 
 # --------------------------------------------------------------------------- #
@@ -376,14 +356,13 @@ class TestMultiLabelIRLS:
 
 
 class TestPipelineFlagWiring:
-    """The config knobs reach the oracle and keep results equivalent."""
+    """The early-exit knob reaches the oracle and keeps results equivalent."""
 
     def test_flags_off_and_on_agree(self, covid_bundle):
         queries = [entry.query for entry in covid_bundle.queries]
         results = {}
         for tag, overrides in {
-            "pre": dict(use_blocked_permutations=False, use_ipw_fit_cache=False),
-            "new": dict(),
+            "default": dict(),
             "early": dict(permutation_early_exit=True),
         }.items():
             config = MESAConfig(excluded_columns=tuple(covid_bundle.id_columns),
@@ -392,8 +371,7 @@ class TestPipelineFlagWiring:
                 covid_bundle.table, covid_bundle.knowledge_graph,
                 covid_bundle.extraction_specs, config=config)
             results[tag] = pipeline.explain_many(queries, k=3)
-        for tag in ("new", "early"):
-            for a, b in zip(results["pre"], results[tag]):
-                assert a.attributes == b.attributes
-                assert abs(a.explanation.explainability
-                           - b.explanation.explainability) < 1e-9
+        for a, b in zip(results["default"], results["early"]):
+            assert a.attributes == b.attributes
+            assert abs(a.explanation.explainability
+                       - b.explanation.explainability) < 1e-9

@@ -8,6 +8,7 @@ import pytest
 from repro.core.problem import CorrelationExplanationProblem
 from repro.engine import ExplanationPipeline, resolve_n_jobs
 from repro.exceptions import ConfigurationError, ExplanationError
+from repro.infotheory.mutual_information import conditional_mutual_information
 from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
 
@@ -207,18 +208,6 @@ class TestFitCacheWriteBack:
 
 
 class TestKernelOracleWiring:
-    def test_kernel_and_legacy_modes_agree(self, covid_bundle, covid_queries,
-                                           serial_results):
-        pipeline = ExplanationPipeline(
-            covid_bundle.table, covid_bundle.knowledge_graph,
-            covid_bundle.extraction_specs,
-            config=_config(covid_bundle, use_fast_kernel=False))
-        legacy = pipeline.explain_many(covid_queries, k=3)
-        assert [r.attributes for r in legacy] == \
-            [r.attributes for r in serial_results]
-        assert [r.explanation.explainability for r in legacy] == pytest.approx(
-            [r.explanation.explainability for r in serial_results], abs=1e-9)
-
     def test_score_candidates_matches_scalar_oracle(self, confounded_problem):
         problem = confounded_problem
         scores = problem.score_candidates(problem.candidates)
@@ -232,16 +221,17 @@ class TestKernelOracleWiring:
                 problem.cmi(list(given) + [attribute]), abs=1e-12)
 
     def test_score_candidates_legacy_mode(self, confounded_table, confounded_query):
-        problem = CorrelationExplanationProblem(
-            confounded_table, confounded_query, ["Wealth", "Noise"],
-            use_kernel=False)
+        # The reference estimator over the frame's missing-as-category
+        # conditioning codes is the oracle of the batched kernel scores.
         fast = CorrelationExplanationProblem(
             confounded_table, confounded_query, ["Wealth", "Noise"])
-        legacy_scores = problem.score_candidates(["Wealth", "Noise"])
         fast_scores = fast.score_candidates(["Wealth", "Noise"])
+        frame = fast.frame
         for attribute in ("Wealth", "Noise"):
-            assert legacy_scores[attribute] == pytest.approx(
-                fast_scores[attribute], abs=1e-9)
+            reference = conditional_mutual_information(
+                frame.codes(fast.outcome), frame.codes(fast.exposure),
+                [frame.codes(attribute, missing_as_category=True)])
+            assert fast_scores[attribute] == pytest.approx(reference, abs=1e-9)
 
     def test_adopted_frame_must_match(self, confounded_table, confounded_query):
         problem = CorrelationExplanationProblem(
