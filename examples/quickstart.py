@@ -67,9 +67,10 @@ def main() -> None:
           f"attributes={list(envelope.explanation.attributes)}")
 
     #    Large batches can opt into worker fan-out: n_jobs=2 runs thread
-    #    workers over forked contexts (same results, counters merged back),
-    #    and explain_many_envelopes(..., backend="process") forks OS
-    #    processes that ship JSON envelopes back — the serving-tier shape.
+    #    workers over forked contexts (same results, counters merged back);
+    #    explain_many_envelopes(..., n_jobs=2) returns the same batch as
+    #    JSON envelopes — the serving-tier shape.  Process-level fan-out is
+    #    the serving cluster's (step 8).
     parallel = pipeline.explain_many([q.query for q in bundle.queries],
                                      k=3, n_jobs=2)
     print(f"Parallel batch: {len(parallel)} queries over "

@@ -90,16 +90,14 @@ these paths' timings and gates their work counters.  The knobs on
   disjoint memo caches, so explanations stay bit-identical to the
   sequential schedule.  ``context.counters['speculation_hit']`` /
   ``['speculation_waste']`` count consumed and discarded speculations.
-* ``n_jobs`` / ``parallel_backend`` — opt-in worker fan-out for the batch
-  APIs.  ``pipeline.explain_many(queries, n_jobs=4)`` runs thread workers
-  over forked contexts and returns full results;
-  ``pipeline.explain_many_envelopes(queries, n_jobs=4)`` with
-  ``parallel_backend="process"`` forks OS processes and ships each chunk
-  of JSON-serializable envelopes back as one compact blob (the form a
-  serving tier or result cache should consume).  Worker cache counters
-  merge back into ``pipeline.context.counters`` either way.  On platforms
-  without ``fork`` the process backend switches to a spawn-safe path that
-  pickles the dataset into each worker exactly once.
+* ``n_jobs`` — opt-in thread fan-out for the batch APIs.
+  ``pipeline.explain_many(queries, n_jobs=4)`` runs thread workers over
+  forked contexts and returns full results;
+  ``pipeline.explain_many_envelopes(queries, n_jobs=4)`` wraps the same
+  results as JSON-serializable envelopes (the form a serving tier or
+  result cache should consume).  Worker cache counters merge back into
+  ``pipeline.context.counters``.  Process-level fan-out is the serving
+  cluster's (``ServiceCluster`` below).
 
 Repeated-context queries additionally hit the context-level encoded-frame
 cache (``PipelineContext.context_frame``): two queries sharing a WHERE

@@ -27,8 +27,8 @@ rounds:
   to numerical tolerance.
 
 :class:`~repro.distributed.coordinator.ShardPool` owns the worker
-processes (reusing the :class:`~repro.serving.cluster.ServiceCluster`
-pipe machinery via :mod:`repro.distributed.ipc`);
+processes (started, replaced and stopped by the worker lifecycle in
+:mod:`repro.distributed.ipc`, which the serving cluster shares);
 :class:`~repro.distributed.counts.ShardCounts` is the counts source a
 :class:`~repro.core.problem.CorrelationExplanationProblem` uses to route
 its estimates through a pool.  ``ServiceCluster(shard="rows")`` wires the

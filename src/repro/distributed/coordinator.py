@@ -144,16 +144,7 @@ class ShardPool:
                  frame_store: Optional[Any] = None):
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        import multiprocessing
-
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        if start_method not in ("fork", "spawn"):
-            raise ConfigurationError(
-                f"start_method must be 'fork' or 'spawn', got {start_method!r}")
-        self._mp = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        self.start_method = ipc.resolve_start_method(start_method)
         self.n_shards = n_shards
         self.request_timeout = request_timeout
         self.max_contexts = max_contexts
@@ -189,15 +180,9 @@ class ShardPool:
         return self
 
     def _spawn(self, index: int) -> ipc.PipeWorkerHandle:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        process = self._mp.Process(
-            target=_shard_worker_main,
-            args=(child_conn, index, self.n_shards),
-            name=f"repro-shard-worker-{index}", daemon=True)
-        process.start()
-        child_conn.close()  # the parent keeps only its end
-        return ipc.PipeWorkerHandle(index=index, process=process,
-                                    conn=parent_conn)
+        return ipc.start_worker(self.start_method, index, _shard_worker_main,
+                                (index, self.n_shards),
+                                f"repro-shard-worker-{index}")
 
     def close(self) -> None:
         """Shut every shard worker down (gracefully, then firmly)."""
@@ -208,26 +193,7 @@ class ShardPool:
             handles = list(self._handles)
         if self._executor is not None:
             self._executor.shutdown(wait=False)
-        for handle in handles:
-            if not handle.lock.acquire(timeout=2.0):
-                continue  # busy worker: skip graceful, terminate below
-            try:
-                handle.conn.send(("shutdown", None))
-                handle.conn.poll(2.0)
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-            finally:
-                handle.lock.release()
-        for handle in handles:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():  # pragma: no cover - stuck
-                    handle.process.terminate()
-                    handle.process.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        ipc.shutdown(handles)
         if self._store is not None:
             # The pool does not own the store, but its shard generations
             # are dead weight once the workers are gone — retire them so a
@@ -407,24 +373,9 @@ class ShardPool:
         """Respawn a dead shard worker blank; shipped state re-ships lazily."""
         handle = self._handles[index]
         with handle.lock:
-            if handle.generation != observed_generation:
+            if not ipc.respawn(handle, observed_generation, self._spawn,
+                               self._closed):
                 return  # another thread already replaced this process
-            if self._closed:
-                raise ipc.WorkerDiedError(
-                    f"shard worker {index} died and the pool is closed")
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if handle.process is not None and handle.process.is_alive():
-                handle.process.terminate()
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-            fresh = self._spawn(index)
-            handle.process = fresh.process
-            handle.conn = fresh.conn
-            handle.generation += 1
-            handle.restarts += 1
             with self._lock:
                 contexts = list(self._contexts.values())
                 self.worker_restarts += 1
@@ -472,15 +423,15 @@ class ShardPool:
                provider: Optional[ColumnProvider] = None) -> List[np.ndarray]:
         """Merged count vectors for a batch of jobs (one round trip/worker).
 
-        Each job is a dict with ``kind`` ``"cmi"`` / ``"joint"`` /
-        ``"entropy"`` plus the recipes and global cardinalities (see
-        :mod:`repro.distributed.worker`); the result holds, per job, the
-        sum of the per-shard partial count vectors — ready for the
-        ``*_from_counts`` finalisers.
+        Each job is a dict with ``kind`` ``"cmi"`` or ``"joint"`` (an
+        entropy is a ``"joint"`` job with ``given: None``) plus the recipes
+        and global cardinalities (see :mod:`repro.distributed.worker`); the
+        result holds, per job, the sum of the per-shard partial count
+        vectors — ready for the ``*_from_counts`` finalisers.
         """
         step_lists: List[Any] = []
         for job in jobs:
-            for fieldname in ("x", "y", "z", "target", "given", "codes"):
+            for fieldname in ("x", "y", "z", "target", "given"):
                 step_lists.append(job.get(fieldname))
             step_lists.append(job.get("weights"))
         columns = recipe_columns(*step_lists)
@@ -555,71 +506,42 @@ class ShardPool:
         null sequence is a pure function of ``(seed, shard count)``.  The
         early-exit ramp changes only how many permutations each round
         requests, never which permutations are drawn; the budgeted
-        sequential decision (the same
-        :class:`~repro.infotheory.permutation.BudgetedSequentialTest` the
-        single-process engine applies between rounds) therefore behaves
-        exactly like the local blocked driver — including adaptive budget
-        extension.  Rounds are kept chunk-aligned so a stream chunk is
-        only ever partially consumed at the global end: a worker always
-        draws a chunk's permutations from the start of that chunk's
-        stream, so under an adaptive budget every round *requests* a
-        chunk-multiple (bounded look-ahead past the current target,
-        counted in ``computed``) and an extension resumes at the next
-        chunk boundary instead of re-drawing a half-consumed chunk.
+        sequential decision runs through the local blocked driver's own
+        block loop (:func:`~repro.infotheory.permutation.
+        run_permutation_blocks`) — including adaptive budget extension.
+        Rounds are kept chunk-aligned so a stream chunk is only ever
+        partially consumed at the global end: a worker always draws a
+        chunk's permutations from the start of that chunk's stream, so
+        under an adaptive budget every round *requests* a chunk-multiple
+        (bounded look-ahead past the current target, counted in
+        ``computed``) and an extension resumes at the next chunk boundary
+        instead of re-drawing a half-consumed chunk.
 
         Returns a :class:`~repro.infotheory.permutation.PermutationOutcome`
         exactly like :func:`~repro.infotheory.permutation.
         blocked_permutation_test` (unpackable as the historical 4-tuple).
         """
-        state = permutation.BudgetedSequentialTest(n_permutations, alpha,
-                                                  budget)
-        cells = n_x * n_y * max(1, n_z)
         chunk = permutation.EARLY_EXIT_INITIAL_BLOCK
-        max_block = max(1, min(
-            state.cap,
-            permutation.BLOCK_CELL_BUDGET // max(1, cells),
-            permutation.BLOCK_ROW_BUDGET // max(1, ctx.n_rows)))
-        max_block = max(chunk, max_block - max_block % chunk)
-        sequential = budget.early_exit or budget.adaptive
-        ramp = chunk if sequential else max_block
-        extensions_seen = 0
-        drawn = 0
-        computed = 0
         columns = recipe_columns(x, y, z, weights)
         tokens = recipe_tokens(x, y, z)
-        while state.want_more:
-            if state.extensions != extensions_seen:
-                extensions_seen = state.extensions
-                ramp = chunk
-            remaining = state.target - drawn
-            if budget.adaptive:
-                # Round the request up to a chunk multiple (never past the
-                # cap) so extension resumes on a chunk boundary.
-                aligned = -(-remaining // chunk) * chunk
-                remaining = min(max(remaining, aligned), state.cap - drawn)
-            count = min(ramp, max_block, remaining)
-            ramp = min(ramp * 4, max_block)
+
+        def null_block(start: int, count: int) -> np.ndarray:
             payload = {"ctx": ctx.key, "x": x, "y": y, "z": z,
                        "n_x": n_x, "n_y": n_y, "n_z": n_z,
                        "weights": weights, "seed": seed,
-                       "start": drawn, "chunk": chunk, "count": count,
+                       "start": start, "chunk": chunk, "count": count,
                        "rng_stream": budget.rng_stream}
             partials = self._scatter(ctx, "perm", lambda index: payload,
                                      columns, tokens, provider)
             total = np.asarray(partials[0], dtype=np.float64).copy()
             for part in partials[1:]:
                 total += np.asarray(part, dtype=np.float64)
-            null_cmis = permutation.null_cmis_from_counts(
-                total, n_x, n_y, n_z)
-            drawn += count
-            computed += count
-            for value in null_cmis:
-                if not state.want_more:
-                    break
-                verdict = state.update(value >= observed)
-                if verdict is not None:
-                    return state.outcome(verdict, computed)
-        return state.outcome(None, computed)
+            return permutation.null_cmis_from_counts(total, n_x, n_y, n_z)
+
+        return permutation.run_permutation_blocks(
+            permutation.BudgetedSequentialTest(n_permutations, alpha, budget),
+            observed, n_x * n_y * max(1, n_z), ctx.n_rows, null_block,
+            align=chunk)
 
     # ------------------------------------------------------------------ #
     # compute: distributed IRLS
@@ -708,31 +630,10 @@ class ShardPool:
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
         """Per-shard snapshots plus pool counters (busy workers go stale)."""
-        def probe(handle: ipc.PipeWorkerHandle) -> Dict[str, Any]:
-            if not handle.lock.acquire(timeout=2.0):
-                stale = dict(handle.last_stats or {"role": "row-shard"})
-                stale["stale"] = True
-                return stale
-            try:
-                snapshot = ipc.request_locked(handle, "stats", None,
-                                              self.request_timeout)
-                handle.last_stats = snapshot
-                return snapshot
-            except Exception as error:
-                return {"role": "row-shard",
-                        "error": f"{type(error).__name__}: {error}"}
-            finally:
-                handle.lock.release()
-
-        if not self._started or self._closed:
-            workers: Dict[str, Any] = {}
-        elif self.n_shards == 1:
-            workers = {"0": probe(self._handles[0])}
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_shards) as executor:
-                snapshots = list(executor.map(probe, self._handles))
-            workers = {str(handle.index): snapshot
-                       for handle, snapshot in zip(self._handles, snapshots)}
+        workers: Dict[str, Any] = {}
+        if self._started and not self._closed:
+            workers = ipc.probe_stats(self._handles, self.request_timeout,
+                                      {"role": "row-shard"})
         for handle, snapshot in zip(self._handles, workers.values()):
             snapshot.setdefault("restarts", handle.restarts)
             snapshot.setdefault("alive", handle.alive())

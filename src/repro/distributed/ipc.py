@@ -1,28 +1,33 @@
-"""Pipe-based worker transport shared by the serving and data-plane tiers.
+"""The worker substrate shared by the serving and data-plane tiers.
 
 :class:`~repro.serving.cluster.ServiceCluster` (key-sharded replicas) and
-:class:`~repro.distributed.coordinator.ShardPool` (row shards) speak the
-same strict request/response discipline over :mod:`multiprocessing` pipes:
-one outstanding request per worker (a parent-side lock serialises the
-round-trips), replies framed as ``("ok", payload)`` or
-``("error", (type_name, args))``, liveness-aware waits, and library
-exceptions rebuilt by type in the parent.  This module is that shared
-machinery, extracted so the data plane does not reimplement (or import
-half of) the serving tier.
+:class:`~repro.distributed.coordinator.ShardPool` (row shards) run their
+workers as :mod:`multiprocessing` processes over pipes, and this module
+owns everything about those workers that the two tiers share:
 
-``serving.cluster`` re-exports :class:`WorkerDiedError`,
-:class:`WorkerFaultError` and ``rebuild_error`` under their historical
-names, so existing callers and tests are unaffected.
+* **transport** — one outstanding request per worker (a parent-side lock
+  serialises the round-trips), replies framed as ``("ok", payload)`` or
+  ``("error", (type_name, args))``, liveness-aware waits, and library
+  exceptions rebuilt by type in the parent;
+* **lifecycle** — start-method resolution (:func:`resolve_start_method`),
+  starting a worker (:func:`start_worker`), replacing a dead one
+  (:func:`respawn`), the graceful-then-firm :func:`shutdown`, and the
+  stale-tolerant ``stats`` probe (:func:`probe_stats`).
+
+The owning tiers keep only their own hooks around these: what a fresh
+worker must be told, and what a dead one's state folds into.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro import exceptions as _exceptions
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.obs import trace
 
 
@@ -158,6 +163,12 @@ def poll_reply(handle: PipeWorkerHandle, op: str, timeout: float) -> None:
                 return
             raise WorkerDiedError(
                 f"worker {handle.index} exited while handling {op!r}")
+    # The worker still owes this reply; the next request on the pipe would
+    # read it as its own answer.  Kill the worker and drop our pipe end, so
+    # that request fails as a dead worker and the owner's restart-and-retry
+    # replaces it.
+    handle.process.kill()
+    handle.conn.close()
     raise WorkerDiedError(
         f"worker {handle.index} did not answer {op!r} within {timeout}s")
 
@@ -202,3 +213,133 @@ def request(handle: PipeWorkerHandle, op: str, payload,
     """One request/response round-trip (raises worker-side errors)."""
     with handle.lock:
         return request_locked(handle, op, payload, timeout)
+
+
+# --------------------------------------------------------------------------- #
+# lifecycle
+# --------------------------------------------------------------------------- #
+def resolve_start_method(start_method: Optional[str]) -> str:
+    """``"fork"`` where the platform has it, else ``"spawn"``; validated."""
+    if start_method is None:
+        available = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in available else "spawn"
+    if start_method not in ("fork", "spawn"):
+        raise ConfigurationError(
+            f"start_method must be 'fork' or 'spawn', got {start_method!r}")
+    return start_method
+
+
+def start_worker(start_method: str, index: int, target: Callable,
+                 args: Tuple, name: str) -> PipeWorkerHandle:
+    """Start ``target(conn, *args)`` in a daemon process over a fresh pipe.
+
+    Under ``fork`` the arguments are inherited, never pickled, so large
+    payloads (whole tables) cross for free; under ``spawn`` they are
+    pickled into the worker exactly once, at start.
+    """
+    context = multiprocessing.get_context(start_method)
+    parent_conn, child_conn = context.Pipe(duplex=True)
+    process = context.Process(target=target, args=(child_conn, *args),
+                              name=name, daemon=True)
+    process.start()
+    child_conn.close()  # the parent keeps only its end
+    return PipeWorkerHandle(index=index, process=process, conn=parent_conn)
+
+
+def respawn(handle: PipeWorkerHandle, observed_generation: int,
+            spawn: Callable[[int], PipeWorkerHandle], closed: bool) -> bool:
+    """Replace a dead worker's process, once per observed death.
+
+    The caller holds ``handle.lock``.  Returns ``False`` when another
+    thread already replaced the process the caller saw die.  The old
+    process is stopped, ``spawn(index)`` starts its replacement, and the
+    handle's ``generation`` and ``restarts`` advance; ``last_stats``
+    belonged to the dead process and is cleared (read it first to keep
+    it).
+    """
+    if handle.generation != observed_generation:
+        return False
+    if closed:
+        raise WorkerDiedError(
+            f"worker {handle.index} died and its owner is closed")
+    try:
+        handle.conn.close()
+    except OSError:  # pragma: no cover - already closed
+        pass
+    if handle.process is not None and handle.process.is_alive():
+        handle.process.terminate()
+    if handle.process is not None:
+        handle.process.join(timeout=5.0)
+    fresh = spawn(handle.index)
+    handle.process = fresh.process
+    handle.conn = fresh.conn
+    handle.generation += 1
+    handle.restarts += 1
+    handle.last_stats = None
+    return True
+
+
+def shutdown(handles: Sequence[PipeWorkerHandle]) -> None:
+    """Shut workers down gracefully, then firmly.
+
+    The graceful half waits only briefly for each worker's pipe lock — a
+    worker mid-way through a long request holds it for the whole
+    round-trip, and shutdown must not stall behind request traffic; an
+    unreachable worker is simply terminated below.
+    """
+    for handle in handles:
+        if not handle.lock.acquire(timeout=2.0):
+            continue  # busy worker: skip graceful, terminate below
+        try:
+            handle.conn.send(("shutdown", None))
+            handle.conn.poll(2.0)
+        except (OSError, ValueError, BrokenPipeError):
+            pass
+        finally:
+            handle.lock.release()
+    for handle in handles:
+        if handle.process is not None:
+            handle.process.join(timeout=5.0)
+            if handle.process.is_alive():  # pragma: no cover - stuck worker
+                handle.process.terminate()
+                handle.process.join(timeout=2.0)
+        try:
+            handle.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
+def probe_stats(handles: Sequence[PipeWorkerHandle], timeout: float,
+                fallback: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """Every worker's ``stats`` snapshot, keyed by its index as a string.
+
+    A worker busy with a long request holds its pipe lock for the whole
+    round-trip; observability must answer *now*, so each probe waits
+    briefly and falls back to the worker's last known snapshot (or
+    ``fallback``) marked ``stale`` instead of queueing behind the request.
+    The bounded wait happens on the lock, before sending — abandoning a
+    sent request would desynchronise the pipe.  Probes run concurrently,
+    so the stall is about 2 s in total, not per busy worker.  A failed
+    probe reports ``fallback`` plus an ``error`` string.
+    """
+    def probe(handle: PipeWorkerHandle) -> Dict[str, Any]:
+        if not handle.lock.acquire(timeout=2.0):
+            stale = dict(handle.last_stats or fallback)
+            stale["stale"] = True
+            return stale
+        try:
+            snapshot = request_locked(handle, "stats", None, timeout)
+            handle.last_stats = snapshot
+            return snapshot
+        except Exception as error:
+            return dict(fallback, error=f"{type(error).__name__}: {error}")
+        finally:
+            handle.lock.release()
+
+    if len(handles) <= 1:
+        snapshots = [probe(handle) for handle in handles]
+    else:
+        with ThreadPoolExecutor(max_workers=len(handles)) as executor:
+            snapshots = list(executor.map(probe, handles))
+    return {str(handle.index): snapshot
+            for handle, snapshot in zip(handles, snapshots)}

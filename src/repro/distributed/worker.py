@@ -215,10 +215,6 @@ def _serve_counts_job(store: ShardStore, ctx: Any,
             n_target=job["n_target"], n_given=job.get("n_given", 1),
             weights=weights)
         return counts.ravel()
-    if kind == "entropy":
-        return kernel.accumulate(store.build(ctx, job["codes"]),
-                                 weights=weights,
-                                 minlength=job.get("minlength", 0))
     raise ConfigurationError(f"unknown counts job kind {kind!r}")
 
 

@@ -103,14 +103,9 @@ class MESAConfig:
         ``['speculation_waste']`` count consumed and discarded
         speculations.
     n_jobs:
-        Worker count for the batch APIs (``explain_many`` /
+        Thread-worker count for the batch APIs (``explain_many`` /
         ``explain_many_envelopes``); ``1`` (default) runs serially, ``-1``
         uses every available CPU.
-    parallel_backend:
-        ``"thread"`` (default) or ``"process"`` — how batch workers are
-        executed.  The process backend ships results back as
-        JSON-serializable envelopes and therefore only applies to
-        ``explain_many_envelopes``.
     """
 
     k: int = 5
@@ -135,7 +130,6 @@ class MESAConfig:
     permutation_rng_stream: str = "legacy"
     speculative_search: bool = False
     n_jobs: int = 1
-    parallel_backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -179,11 +173,6 @@ class MESAConfig:
         if self.n_jobs < 1 and self.n_jobs != -1:
             raise ConfigurationError(
                 f"n_jobs must be >= 1 (or -1 for all CPUs), got {self.n_jobs}"
-            )
-        if self.parallel_backend not in ("thread", "process"):
-            raise ConfigurationError(
-                f"parallel_backend must be 'thread' or 'process', "
-                f"got {self.parallel_backend!r}"
             )
 
     def without_pruning(self) -> "MESAConfig":

@@ -1,52 +1,26 @@
 """Parallel batch execution for the explanation pipeline.
 
-``ExplanationPipeline.explain_many`` (and its process-boundary sibling
-``explain_many_envelopes``) fan a batch of queries out over workers:
-
-* **thread backend** — each worker drives its own pipeline over a *forked*
-  :class:`~repro.engine.context.PipelineContext` (same table and warmed
-  extraction/offline-pruning caches, private counters), so no mutable state
-  is shared between workers and full :class:`ExplanationResult` objects
-  come back directly.
-* **process backend** — workers are OS processes; each builds its pipeline
-  once and ships its whole chunk of results back as **one** JSON blob of
-  :class:`~repro.engine.envelope.ExplanationEnvelope` dicts (the envelope
-  is the process-boundary form of a result, so only plain data crosses the
-  boundary, and batching the chunk into a single string keeps the IPC cost
-  at one serialize/parse per chunk instead of per query).  Available from
-  ``explain_many_envelopes`` only — a live ``ExplanationResult`` cannot
-  cross a process boundary.  On platforms with ``fork`` the workers
-  inherit the parent's warmed pipeline copy-on-write; without ``fork``
-  (Windows, macOS spawn default) the **spawn** path pickles the dataset —
-  table, knowledge graph, extraction specs, config and stage list — into
-  each worker exactly once via the pool initializer, so per-chunk task
-  payloads still carry only the queries.
-
-In both backends the workers' cache counters and stage timings are merged
-back into the parent's :class:`PipelineContext` after the batch, so the
-batch-API observability (``context.counters``) keeps working.
+``ExplanationPipeline.explain_many`` (and ``explain_many_envelopes``, which
+wraps its results) fans a batch of queries out over threads: each worker
+drives its own pipeline over a *forked*
+:class:`~repro.engine.context.PipelineContext` (same table and warmed
+extraction/offline-pruning caches, private counters), so no mutable state
+is shared between workers and full :class:`ExplanationResult` objects come
+back directly.  The workers' cache counters, stage timings and new IPW
+selection fits are merged back into the parent's :class:`PipelineContext`
+after the batch, so the batch-API observability (``context.counters``)
+keeps working.  Process-level fan-out is the serving tier's
+(:class:`~repro.serving.cluster.ServiceCluster`).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional, Sequence
 
-from repro.engine.envelope import ExplanationEnvelope
 from repro.exceptions import ConfigurationError
 from repro.obs import trace
-
-#: Fork-inherited state for process workers: set by the parent immediately
-#: before the executor forks, read lazily inside each worker.
-_FORK_STATE: Dict[str, object] = {}
-
-#: Serialises concurrent process-backend batches: the fork state is a module
-#: global, so two batches forking at once would inherit each other's
-#: pipeline (and the finally-block teardown would race).
-_FORK_LOCK = threading.Lock()
 
 
 def resolve_n_jobs(n_jobs: Optional[int], default: int = 1) -> int:
@@ -84,11 +58,6 @@ def _worker_pipeline(parent_pipeline):
     )
 
 
-def _merge_worker_context(parent_context, counters: Dict[str, int],
-                          stage_seconds: Dict[str, float]) -> None:
-    parent_context.merge_counters(counters, stage_seconds)
-
-
 def _warm_context(pipeline) -> None:
     """Build the cross-query artefacts once, before workers fork off.
 
@@ -110,9 +79,6 @@ def _warm_context(pipeline) -> None:
             high_entropy_unique_ratio=config.high_entropy_unique_ratio)
 
 
-# --------------------------------------------------------------------------- #
-# thread backend
-# --------------------------------------------------------------------------- #
 def _write_back_fits(parent_context, fit_entries) -> None:
     """Merge a worker's new selection fits into the parent's fit cache.
 
@@ -155,148 +121,8 @@ def explain_many_threaded(pipeline, queries: Sequence, k: Optional[int],
         futures = [executor.submit(run_chunk, chunk) for chunk in chunks]
         for future in futures:
             counters, stage_seconds, fit_entries = future.result()
-            _merge_worker_context(pipeline.context, counters, stage_seconds)
+            pipeline.context.merge_counters(counters, stage_seconds)
             _write_back_fits(pipeline.context, fit_entries)
     pipeline.context.count("parallel_batches")
     pipeline.context.count("parallel_workers", len(chunks))
     return results
-
-
-# --------------------------------------------------------------------------- #
-# process backend
-# --------------------------------------------------------------------------- #
-def _run_worker_chunk(worker, payload: Tuple[List[int], List, Optional[int]]):
-    """Run one chunk on a worker pipeline; returns a chunked envelope blob.
-
-    The whole chunk's envelopes ship back as **one** compact JSON string
-    instead of a list of nested dicts: pickling a single flat ``str`` costs
-    one buffer copy, while a list of per-query dict trees makes the pickler
-    walk (and the parent unpickle) thousands of small objects.  For large
-    batches this cuts the per-result IPC overhead to a single
-    serialize/parse per chunk.
-    """
-    indices, chunk_queries, k = payload
-    envelopes = []
-    for query in chunk_queries:
-        envelopes.append(worker.explain(query, k=k).to_envelope().to_dict())
-    envelope_blob = json.dumps(envelopes, separators=(",", ":"))
-    # Snapshot-and-reset: a pool process may execute several chunks, and the
-    # parent merges every returned snapshot — each payload must report only
-    # its own delta or earlier chunks' counters would be merged twice.  The
-    # same applies to new selection fits: drain_new_entries resets the
-    # marker, so each chunk ships only the fits it performed itself.
-    counters = dict(worker.context.counters)
-    stage_seconds = dict(worker.context.stage_seconds)
-    worker.context.counters.clear()
-    worker.context.stage_seconds.clear()
-    fit_entries = worker.context.ipw_fit_cache.drain_new_entries()
-    return indices, envelope_blob, counters, stage_seconds, fit_entries
-
-
-def _process_worker(payload: Tuple[List[int], List, Optional[int]]):
-    """Run one chunk inside a *forked* process (fork-inherited pipeline)."""
-    parent_pipeline = _FORK_STATE.get("pipeline")
-    if parent_pipeline is None:  # pragma: no cover - defensive
-        raise ConfigurationError("process worker started without fork state")
-    worker = _FORK_STATE.get("worker")
-    if worker is None:
-        worker = _worker_pipeline(parent_pipeline)
-        _FORK_STATE["worker"] = worker
-    return _run_worker_chunk(worker, payload)
-
-
-#: Spawn-mode per-process state: the worker pipeline built once by
-#: :func:`_spawn_initializer` from the pickled dataset parts.
-_SPAWN_STATE: Dict[str, object] = {}
-
-
-def _spawn_initializer(table, knowledge_graph, extraction_specs, config,
-                       stages) -> None:
-    """Build one pipeline per spawned worker from pickled dataset parts.
-
-    Spawned processes inherit nothing, so the parent pickles the table (and
-    knowledge graph, extraction specs, configuration and stage list) into
-    each worker exactly once — through the pool initializer — rather than
-    once per submitted chunk.  The worker warms its own cross-query caches
-    on the first query it runs.
-    """
-    from repro.engine.pipeline import ExplanationPipeline
-
-    _SPAWN_STATE["worker"] = ExplanationPipeline(
-        table, knowledge_graph, extraction_specs,
-        config=config.with_overrides(n_jobs=1), stages=list(stages))
-
-
-def _spawn_worker(payload: Tuple[List[int], List, Optional[int]]):
-    """Run one chunk inside a *spawned* process (initializer-built pipeline)."""
-    worker = _SPAWN_STATE.get("worker")
-    if worker is None:  # pragma: no cover - defensive
-        raise ConfigurationError("spawn worker started without an initializer")
-    return _run_worker_chunk(worker, payload)
-
-
-def explain_many_forked(pipeline, queries: Sequence, k: Optional[int],
-                        n_jobs: int,
-                        start_method: Optional[str] = None,
-                        ) -> List[ExplanationEnvelope]:
-    """Fan the batch out over worker processes; returns envelopes.
-
-    With the ``fork`` start method (preferred where available) each worker
-    inherits the parent's warmed pipeline copy-on-write — nothing ships to
-    the workers.  On platforms without fork the **spawn** path is used
-    instead: the dataset parts are pickled into each worker exactly once
-    via the pool initializer, and each worker builds (and keeps) its own
-    pipeline.  ``start_method`` forces one of ``"fork"`` / ``"spawn"``
-    (tests force spawn to exercise the portable path).
-    """
-    import multiprocessing
-
-    available = multiprocessing.get_all_start_methods()
-    if start_method is None:
-        start_method = "fork" if "fork" in available else "spawn"
-    if start_method not in ("fork", "spawn"):
-        raise ConfigurationError(
-            f"start_method must be 'fork' or 'spawn', got {start_method!r}")
-    if start_method not in available:  # pragma: no cover - platform specific
-        results = explain_many_threaded(pipeline, queries, k, n_jobs)
-        return [result.to_envelope() for result in results]
-
-    chunks = _chunks(len(queries), n_jobs)
-    payloads = [(chunk, [queries[i] for i in chunk], k) for chunk in chunks]
-    envelopes: List[Optional[ExplanationEnvelope]] = [None] * len(queries)
-
-    def drain(results_iter) -> None:
-        for indices, envelope_blob, counters, stage_seconds, fit_entries \
-                in results_iter:
-            chunk_envelopes = json.loads(envelope_blob)
-            for index, envelope_dict in zip(indices, chunk_envelopes):
-                envelopes[index] = ExplanationEnvelope.from_dict(envelope_dict)
-            _merge_worker_context(pipeline.context, counters, stage_seconds)
-            _write_back_fits(pipeline.context, fit_entries)
-
-    if start_method == "fork":
-        # Warm the cross-query caches before forking so every worker
-        # inherits them instead of redoing extraction per process.
-        _warm_context(pipeline)
-        with _FORK_LOCK:
-            _FORK_STATE["pipeline"] = pipeline
-            try:
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(max_workers=len(chunks),
-                                         mp_context=context) as executor:
-                    drain(executor.map(_process_worker, payloads))
-            finally:
-                _FORK_STATE.pop("pipeline", None)
-                _FORK_STATE.pop("worker", None)
-    else:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-                max_workers=len(chunks), mp_context=context,
-                initializer=_spawn_initializer,
-                initargs=(pipeline.table, pipeline.context.knowledge_graph,
-                          pipeline.context.extraction_specs, pipeline.config,
-                          tuple(pipeline.stages))) as executor:
-            drain(executor.map(_spawn_worker, payloads))
-    pipeline.context.count("parallel_batches")
-    pipeline.context.count("parallel_workers", len(chunks))
-    return envelopes

@@ -188,9 +188,8 @@ class ExplanationPipeline:
         opts into parallel execution: queries fan out over thread workers,
         each driving a private pipeline over a forked context, and the
         workers' cache counters merge back into this pipeline's context.
-        Results come back in query order.  For process-based fan-out use
-        :meth:`explain_many_envelopes` — a live result cannot cross a
-        process boundary.
+        Results come back in query order.  Process-level fan-out is the
+        serving tier's job (:class:`~repro.serving.cluster.ServiceCluster`).
 
         ``trace_captures`` (one :func:`repro.obs.trace.capture` per query,
         or ``None``) re-activates each query's originating trace around
@@ -221,37 +220,19 @@ class ExplanationPipeline:
     def explain_many_envelopes(self, queries: Iterable[AggregateQuery],
                                k: Optional[int] = None,
                                n_jobs: Optional[int] = None,
-                               backend: Optional[str] = None,
                                trace_captures: Optional[Sequence] = None,
                                ) -> List["ExplanationEnvelope"]:
-        """Batch API returning JSON-serializable envelopes (worker-pool form).
+        """:meth:`explain_many`, with each result wrapped as an envelope.
 
-        With ``n_jobs > 1`` the batch fans out over the configured backend:
-        ``"thread"`` workers share memory, ``"process"`` workers are forked
-        OS processes that ship each result back as an envelope dict.  Both
-        merge per-worker cache counters back into this context.  This is
-        the method a serving tier or result cache should call — envelopes
-        carry no live problem instances and round-trip through JSON.
-
-        ``trace_captures`` propagates per-query trace contexts like
-        :meth:`explain_many`; the ``"process"`` backend does not carry
-        traces across its fork boundary (spans stay with the parent's
-        batch-level instrumentation).
+        This is the method a serving tier or result cache should call —
+        envelopes carry no live problem instances and round-trip through
+        JSON.
         """
         from repro.engine.envelope import ExplanationEnvelope
-        from repro.engine.parallel import explain_many_forked, resolve_n_jobs
 
-        queries = list(queries)
-        jobs = resolve_n_jobs(n_jobs, default=self.config.n_jobs)
-        backend = backend or self.config.parallel_backend
-        if backend not in ("thread", "process"):
-            raise ConfigurationError(
-                f"backend must be 'thread' or 'process', got {backend!r}")
-        if jobs <= 1 or len(queries) <= 1 or backend == "thread":
-            results = self.explain_many(queries, k=k, n_jobs=jobs,
-                                        trace_captures=trace_captures)
-            return [ExplanationEnvelope.from_result(result) for result in results]
-        return explain_many_forked(self, queries, k, jobs)
+        results = self.explain_many(queries, k=k, n_jobs=n_jobs,
+                                    trace_captures=trace_captures)
+        return [ExplanationEnvelope.from_result(result) for result in results]
 
     def run_explainer(self, explainer, query: AggregateQuery,
                       k: Optional[int] = None) -> Explanation:

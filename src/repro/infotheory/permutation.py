@@ -61,7 +61,8 @@ every driver — the scalar loop, the blocked kernel driver and the
 row-sharded coordinator
 (:meth:`repro.distributed.coordinator.ShardPool.permutation_rounds`,
 whose chunk-aligned per-shard RNG streams make extension deterministic
-and resume-safe).
+and resume-safe) — and the last two share one block loop,
+:func:`run_permutation_blocks`.
 
 RNG streams: ``rng_stream="legacy"`` (default) draws one Fisher–Yates
 permutation per stratum per permutation — bit-identical to the
@@ -80,6 +81,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy.stats import beta
 
 from repro.obs import trace
 
@@ -206,110 +208,6 @@ class PermutationPlan:
 
 
 # --------------------------------------------------------------------------- #
-# beta quantiles (SciPy when available, pure python otherwise)
-# --------------------------------------------------------------------------- #
-def _betacf(a: float, b: float, x: float,
-            max_iter: int = 300, eps: float = 3e-14) -> float:
-    """Continued fraction of the incomplete beta (Lentz's method)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
-def _regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """``I_x(a, b)`` — the beta distribution's CDF at ``x``."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    # The continued fraction converges fast on one side of the mean;
-    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) for the other.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _beta_ppf_bisect(q: float, a: float, b: float,
-                     tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Beta quantile by bisection on the regularized incomplete beta.
-
-    ~40 CDF evaluations per call — plenty fast for the once-per-decision
-    Clopper–Pearson bounds, and accurate to ``tol`` in ``x`` (the interval
-    comparisons against ``alpha`` tolerate far more).
-    """
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return 1.0
-    lower, upper = 0.0, 1.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lower + upper)
-        if _regularized_incomplete_beta(a, b, mid) < q:
-            lower = mid
-        else:
-            upper = mid
-        if upper - lower < tol:
-            break
-    return 0.5 * (lower + upper)
-
-
-_BETA_PPF: Optional[Callable[[float, float, float], float]] = None
-
-
-def _resolve_beta_ppf() -> Callable[[float, float, float], float]:
-    """The beta quantile function, resolved once per process.
-
-    SciPy's vectorised implementation when importable, the pure-python
-    bisection otherwise — either way the import cost leaves the per-call
-    path, and the Clopper–Pearson interval never degrades to the trivial
-    ``(0, 1)`` bounds.
-    """
-    global _BETA_PPF
-    if _BETA_PPF is None:
-        try:
-            from scipy.stats import beta as _scipy_beta
-        except ImportError:  # pragma: no cover - exercised via monkeypatch
-            _BETA_PPF = _beta_ppf_bisect
-        else:
-            _BETA_PPF = lambda q, a, b: float(_scipy_beta.ppf(q, a, b))
-    return _BETA_PPF
-
-
-# --------------------------------------------------------------------------- #
 # sequential early-exit decision
 # --------------------------------------------------------------------------- #
 def clopper_pearson_interval(successes: int, trials: int,
@@ -318,12 +216,11 @@ def clopper_pearson_interval(successes: int, trials: int,
     """Two-sided Clopper–Pearson interval for a binomial proportion."""
     if trials <= 0:
         return 0.0, 1.0
-    beta_ppf = _resolve_beta_ppf()
     tail = (1.0 - confidence) / 2.0
     lower = 0.0 if successes == 0 else float(
-        beta_ppf(tail, successes, trials - successes + 1))
+        beta.ppf(tail, successes, trials - successes + 1))
     upper = 1.0 if successes == trials else float(
-        beta_ppf(1.0 - tail, successes + 1, trials - successes))
+        beta.ppf(1.0 - tail, successes + 1, trials - successes))
     return lower, upper
 
 
@@ -694,36 +591,67 @@ def blocked_permutation_test(
             lambda permuted: kernel.contingency_cmi(
                 permuted, y, z, n_z=n_z, weights=weights),
             budget=budget)
-    state = BudgetedSequentialTest(n_permutations, alpha, budget)
-    block_size = max(1, min(state.cap, BLOCK_CELL_BUDGET // cells_bound,
-                            BLOCK_ROW_BUDGET // max(1, len(x))))
-    computed = 0
     # Blocking never changes the legacy RNG stream (permutations are drawn
-    # sequentially regardless of block boundaries), so the early-exit ramp
-    # below only trades batching width against wasted look-ahead.  The
-    # ramp restarts small whenever an extension begins: extension phases
-    # check the verdict after every draw, so the first-draw exit must not
-    # pay for a full-width block.
+    # sequentially regardless of block boundaries), so the block schedule
+    # only trades batching width against wasted look-ahead.
+    def null_block(_start: int, count: int) -> np.ndarray:
+        block = plan.permute_block(x, rng, count,
+                                   rng_stream=budget.rng_stream)
+        return _block_null_cmis(block, y, z, n_z, weights)
+
+    return run_permutation_blocks(
+        BudgetedSequentialTest(n_permutations, alpha, budget), observed,
+        cells_bound, len(x), null_block)
+
+
+def run_permutation_blocks(state: BudgetedSequentialTest, observed: float,
+                           cells: int, n_rows: int,
+                           null_block: Callable[[int, int], np.ndarray],
+                           align: int = 1) -> PermutationOutcome:
+    """The block loop of the local and the row-sharded permutation drivers.
+
+    ``null_block(start, count)`` scores permutations ``start`` to
+    ``start + count - 1`` and returns their null statistics, which are fed
+    through ``state`` one at a time.  A block is at most as wide as the
+    cell and row budgets allow (``cells`` per permutation, ``n_rows``
+    rows), rounded down to a multiple of ``align``.  Under early exit or
+    an adaptive budget the width ramps geometrically from
+    :data:`EARLY_EXIT_INITIAL_BLOCK`, and the ramp restarts whenever the
+    budget extends: extension phases check the verdict after every draw,
+    so the first-draw exit must not pay for a full-width block.  Under an
+    adaptive budget a request is rounded up to whole ``align``-sized
+    chunks, never past the cap, so an extension resumes on a chunk
+    boundary; look-ahead already scored when an extension fires is
+    consumed, not re-drawn.  ``computed`` counts every statistic scored,
+    look-ahead included.
+    """
+    budget = state.budget
+    widest = max(1, min(state.cap, BLOCK_CELL_BUDGET // max(1, cells),
+                        BLOCK_ROW_BUDGET // max(1, n_rows)))
+    widest = max(align, widest - widest % align)
     sequential = budget.early_exit or budget.adaptive
-    ramp = EARLY_EXIT_INITIAL_BLOCK if sequential else block_size
+    ramp = EARLY_EXIT_INITIAL_BLOCK if sequential else widest
     extensions_seen = 0
+    drawn = 0
     while state.want_more:
         if state.extensions != extensions_seen:
             extensions_seen = state.extensions
             ramp = EARLY_EXIT_INITIAL_BLOCK
-        count = min(ramp, block_size, state.remaining)
-        ramp = min(ramp * 4, block_size)
-        block = plan.permute_block(x, rng, count,
-                                   rng_stream=budget.rng_stream)
-        null_cmis = _block_null_cmis(block, y, z, n_z, weights)
-        computed += count
-        for value in null_cmis:
+        remaining = state.remaining
+        if budget.adaptive:
+            remaining = min(-(-remaining // align) * align,
+                            state.cap - drawn)
+        count = min(ramp, widest, remaining)
+        ramp = min(ramp * 4, widest)
+        null_values = null_block(drawn, count)
+        drawn += count
+        for value in null_values:
             if not state.want_more:
                 break
             verdict = state.update(value >= observed)
             if verdict is not None:
-                return state.outcome(verdict, computed)
-    return state.outcome(None, computed)
+                return state.outcome(verdict, drawn)
+    return state.outcome(None, drawn)
 
 
 # --------------------------------------------------------------------------- #

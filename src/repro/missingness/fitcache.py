@@ -128,8 +128,8 @@ class SelectionFitCache:
     def drain_new_entries(self) -> List[Tuple[Tuple[bytes, bytes], CachedSelectionFit]]:
         """Entries inserted since the last drain (and reset the marker).
 
-        The parallel batch executors call this on worker caches after a
-        chunk and merge the returned fits into the parent context — the
+        The parallel batch executor calls this on worker caches after a
+        chunk and merges the returned fits into the parent context — the
         fit-cache write-back that warms the parent for the next batch.
         """
         with self._lock:
@@ -151,8 +151,6 @@ class SelectionFitCache:
             with self._lock:
                 known = key in self._entries
             if not known:
-                if entry.weights.flags.writeable:  # crossed a process boundary
-                    entry.weights.setflags(write=False)
                 self.put(key, entry)
                 added += 1
         return added

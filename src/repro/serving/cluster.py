@@ -32,10 +32,11 @@ The front tier stays thin — it owns no engine state:
 
 Workers communicate over :mod:`multiprocessing` pipes with a strict
 request/response discipline (the parent serializes requests per worker);
-results cross the boundary as compact envelope-JSON blobs, mirroring the
-batch executor's IPC shape.  The ``fork`` start method is used where
-available (workers inherit nothing mutable they use — each builds its own
-service); ``spawn`` is fully supported and exercised by the tests.
+results cross the boundary as compact envelope-JSON blobs.  How a worker
+is started, replaced and stopped lives in :mod:`repro.distributed.ipc`,
+shared with the row-shard pool.  The ``fork`` start method is used where
+available (workers inherit the dataset specs copy-on-write and build their
+own services); ``spawn`` is fully supported and exercised by the tests.
 
 :class:`ClusterClient` adapts a cluster to the
 :class:`~repro.serving.client.ExplanationClient` protocol, so the HTTP
@@ -55,8 +56,6 @@ the client surface.
 
 from __future__ import annotations
 
-import copy
-import itertools
 import json
 import threading
 import time
@@ -90,20 +89,15 @@ from repro.storage import MetaStore
 from repro.table.expressions import stable_key_digest
 from repro.table.table import Table
 
-# The pipe transport — request framing, error reconstruction, the worker
-# handle — lives in :mod:`repro.distributed.ipc`, shared with the shard
-# pool; these aliases keep this module's historical surface.
-_rebuild_error = ipc.rebuild_error
-_WorkerHandle = PipeWorkerHandle
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
     """Everything a worker needs to (re)build one dataset's service entry.
 
-    This is the spawn-safe initializer payload: it is pickled into each
-    worker exactly once — at process start (and again only on a restart) —
-    so per-request messages carry queries, never data.
+    This is the worker start-up payload: it crosses into each worker
+    exactly once — at process start (and again only on a restart), pickled
+    under ``spawn`` and inherited copy-on-write under ``fork`` — so
+    per-request messages carry queries, never data.
 
     With the shared-memory frame store enabled, ``manifest`` (a
     :class:`repro.shm.manifest.TableManifest`) replaces ``table``: the
@@ -135,58 +129,26 @@ class DatasetSpec:
         return table_from_manifest(self.manifest)
 
 
-#: Fork-mode spec handoff: the parent stashes the spec list here under a
-#: one-shot token immediately before forking, the child pops it from its
-#: inherited copy-on-write copy, and the parent deletes its entry as soon
-#: as the fork happened.  Nothing is pickled — which is the point: fork
-#: children inherit the tables for free, and serialising them per worker
-#: was pure redundant cost.
-_FORK_SPECS: Dict[int, List[DatasetSpec]] = {}
-_fork_spec_tokens = itertools.count()
-
-
-@dataclass(frozen=True)
-class _ForkInheritedSpecs:
-    """A token standing in for a spec list that crosses by fork inheritance."""
-
-    token: int
-
-
-def _worker_safe_config(config: Optional[MESAConfig]) -> MESAConfig:
-    """The per-worker engine config: no nested process pools.
-
-    Cluster workers are daemonic processes and may not spawn children, so
-    a ``process`` engine backend inside one would fail; the cluster is the
-    process-level parallelism, workers keep intra-batch fan-out on
-    threads.
-    """
-    config = config or MESAConfig()
-    if config.parallel_backend != "thread":
-        config = config.with_overrides(parallel_backend="thread")
-    return config
-
-
 def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
                          service_kwargs: Dict[str, Any]) -> None:
     """The worker process: one warm service, a request/response loop.
 
     Replies are ``("ok", payload)`` or ``("error", (type_name, args))``;
-    envelopes travel as one compact JSON blob per reply (the pickle cost
-    of a flat string beats a tree of small dicts, as in the batch
-    executor's IPC path).
+    envelopes travel as one compact JSON blob per reply (pickling one
+    flat string costs one buffer copy, while a tree of small dicts makes
+    the pickler walk — and the parent unpickle — every node).
     """
     service = ExplanationService(**service_kwargs)
-    if isinstance(specs, _ForkInheritedSpecs):
-        # Fork mode, frame store off: the spec list (tables included) came
-        # along with the address space; nothing was pickled.
-        specs = list(_FORK_SPECS.get(specs.token, ()))
-    else:
-        specs = list(specs)
-    for spec in specs:
+    specs = list(specs)
+
+    def register(spec: DatasetSpec) -> None:
         service.register_dataset(
             spec.name, spec.resolve_table(), spec.knowledge_graph,
-            spec.extraction_specs, config=_worker_safe_config(spec.config),
+            spec.extraction_specs, config=spec.config or MESAConfig(),
             warm=spec.warm)
+
+    for spec in specs:
+        register(spec)
 
     def serve_one(op: str, payload):
         if op == "explain":
@@ -242,10 +204,7 @@ def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
             if all(existing.name != spec.name for existing in specs):
                 specs.append(spec)
             if spec.name not in service.datasets():
-                service.register_dataset(
-                    spec.name, spec.resolve_table(), spec.knowledge_graph,
-                    spec.extraction_specs,
-                    config=_worker_safe_config(spec.config), warm=spec.warm)
+                register(spec)
             return None
         if op == "append_rows":
             # Copy-path live update: every replica rebuilds the merged
@@ -269,10 +228,7 @@ def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
             else:
                 specs.append(spec)
             if spec.name not in service.datasets():
-                service.register_dataset(
-                    spec.name, spec.resolve_table(), spec.knowledge_graph,
-                    spec.extraction_specs,
-                    config=_worker_safe_config(spec.config), warm=spec.warm)
+                register(spec)
                 return None
             return service.replace_table(spec.name, spec.resolve_table(),
                                          rewarm=False)
@@ -285,6 +241,50 @@ def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
     finally:
         service.close()
         conn.close()
+
+
+def _fold_snapshot(totals: Dict[str, Any], snapshot: Dict[str, Any],
+                   point_in_time: bool) -> None:
+    """Add one worker ``stats`` snapshot into merged ``totals``.
+
+    Lifetime tallies always fold: context counters and stage seconds,
+    cache hit/miss/eviction/expiration/sweep counts, and the counter and
+    histogram entries of the worker's metrics registry.  Point-in-time
+    values — cache sizes and gauges — fold only with ``point_in_time``:
+    a dead worker's occupancy died with it, and keeping it in the base of
+    a restarted worker would overstate capacity.
+    """
+    for name, context in snapshot.get("contexts", {}).items():
+        merged = totals["contexts"].setdefault(
+            name, {"counters": {}, "stage_seconds": {},
+                   "dataset_version": 0})
+        for counter, value in context.get("counters", {}).items():
+            merged["counters"][counter] = \
+                merged["counters"].get(counter, 0) + value
+        for stage, seconds in context.get("stage_seconds", {}).items():
+            merged["stage_seconds"][stage] = round(
+                merged["stage_seconds"].get(stage, 0.0) + seconds, 6)
+        merged["dataset_version"] = max(merged["dataset_version"],
+                                        context.get("dataset_version", 0))
+    tallies = ("hits", "misses", "evictions", "expirations", "sweeps")
+    if point_in_time:
+        tallies = ("size",) + tallies
+    for block in ("cache", "negative_cache"):
+        view = snapshot.get(block, {})
+        merged_view = totals[block]
+        for field_name in tallies:
+            if field_name in view or field_name in merged_view:
+                merged_view[field_name] = \
+                    merged_view.get(field_name, 0) + view.get(field_name, 0)
+        if point_in_time:
+            for name, size in view.get("by_dataset", {}).items():
+                merged_view["by_dataset"][name] = \
+                    merged_view["by_dataset"].get(name, 0) + size
+    entries = [entry for entry in snapshot.get("metrics", [])
+               if point_in_time
+               or entry.get("type") in ("counter", "histogram")]
+    if entries:
+        totals["metrics"] = merge_metric_states([totals["metrics"], entries])
 
 
 class ServiceCluster:
@@ -369,16 +369,7 @@ class ServiceCluster:
         if shard not in ("keys", "rows"):
             raise ConfigurationError(
                 f"shard must be 'keys' or 'rows', got {shard!r}")
-        import multiprocessing
-
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        if start_method not in ("fork", "spawn"):
-            raise ConfigurationError(
-                f"start_method must be 'fork' or 'spawn', got {start_method!r}")
-        self._mp = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        self.start_method = ipc.resolve_start_method(start_method)
         self.n_workers = n_workers
         self.shard = shard
         #: Rows mode only: the parent-process service and its shard pool.
@@ -436,7 +427,7 @@ class ServiceCluster:
         if self.store_path is not None:
             self.service_kwargs.setdefault("store", self.store_path)
         self._specs: List[DatasetSpec] = []
-        self._handles: List[_WorkerHandle] = []
+        self._handles: List[PipeWorkerHandle] = []
         self._lock = threading.Lock()
         #: Monotonic observability folded in from dead workers' last known
         #: snapshots, so the merged lifetime counters in :meth:`stats` do
@@ -536,11 +527,10 @@ class ServiceCluster:
             # owns the engine control plane (caches, batcher, search), and
             # the N workers are row shards of the data plane — each holds
             # O(rows / N) column slices and answers partial-count, permuted
-            # -count and IRLS-partial requests.  The engine's intra-batch
-            # fan-out must stay on threads (thread workers share the pool's
-            # pipes; a forked engine process would not).  With the frame
-            # store the pool publishes each context column once and ships
-            # O(1) refs; shards attach their row-range as views.
+            # -count and IRLS-partial requests; the engine's intra-batch
+            # fan-out runs on threads, which share the pool's pipes.  With
+            # the frame store the pool publishes each context column once
+            # and ships O(1) refs; shards attach their row-range as views.
             self._service = ExplanationService(**self.service_kwargs)
             self._pool = ShardPool(n_shards=self.n_workers,
                                    start_method=self.start_method,
@@ -555,7 +545,7 @@ class ServiceCluster:
         self._handles = [self._spawn_worker(index)
                          for index in range(self.n_workers)]
         for handle in self._handles:
-            self._request(handle, "ping", None)
+            ipc.request(handle, "ping", None, self.request_timeout)
         self._started = True
         self._start_jobs()
         return self
@@ -576,7 +566,7 @@ class ServiceCluster:
         """
         pipeline = self._service.register_dataset(
             spec.name, spec.table, spec.knowledge_graph,
-            spec.extraction_specs, config=_worker_safe_config(spec.config),
+            spec.extraction_specs, config=spec.config or MESAConfig(),
             warm=False)
         pipeline.context.shard_pool = self._pool
         pipeline.context.shard_label = spec.name
@@ -594,51 +584,31 @@ class ServiceCluster:
             self._table_manifests[spec.name] = manifest
         return replace(spec, table=None, manifest=manifest)
 
-    def _specs_payload(self) -> Tuple[Any, Optional[int]]:
-        """What crosses into a fresh worker, and how.
+    def _spawn_worker(self, index: int) -> PipeWorkerHandle:
+        """Start worker ``index`` over the current specs.
 
-        Frame store on: manifest-backed specs (tiny pickles, workers
-        attach views).  Fork with the store off: a one-shot token — the
-        tables cross by copy-on-write inheritance, never pickled.  Spawn
-        with the store off: the classic full-spec pickle.
+        Under ``fork`` with the frame store off the specs (tables included)
+        cross by copy-on-write inheritance, never pickled; with the store
+        on they are manifest-backed, so even a ``spawn`` pickle is tiny.
         """
+        handle = ipc.start_worker(
+            self.start_method, index, _cluster_worker_main,
+            ([self._worker_spec(spec) for spec in self._specs],
+             self.service_kwargs),
+            f"repro-serving-worker-{index}")
         if self._store is not None:
-            return [self._worker_spec(spec) for spec in self._specs], None
-        if self.start_method == "fork":
-            token = next(_fork_spec_tokens)
-            _FORK_SPECS[token] = list(self._specs)
-            return _ForkInheritedSpecs(token), token
-        return list(self._specs), None
-
-    def _spawn_worker(self, index: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        specs_payload, fork_token = self._specs_payload()
-        process = self._mp.Process(
-            target=_cluster_worker_main,
-            args=(child_conn, specs_payload, self.service_kwargs),
-            name=f"repro-serving-worker-{index}", daemon=True)
-        try:
-            process.start()
-        finally:
-            if fork_token is not None:
-                # The child holds its inherited copy; the parent's stash
-                # entry has done its job.
-                _FORK_SPECS.pop(fork_token, None)
-        child_conn.close()  # the parent keeps only its end
-        if self._store is not None:
+            # A process that held this index before can never ack a
+            # release: drop it from every generation so retirements it was
+            # party to drain, then attach the new process as a reader of
+            # what it just received.
+            self._store.drop_reader(index)
             for spec in self._specs:
                 self._store.attach_reader(self._table_generation(spec.name),
                                           index)
-        return _WorkerHandle(index=index, process=process, conn=parent_conn)
+        return handle
 
     def close(self) -> None:
-        """Shut every worker down (gracefully, then firmly).
-
-        The graceful half waits only briefly for each worker's pipe lock —
-        a worker mid-way through a long explanation holds it for the whole
-        engine run, and shutdown must not stall behind request traffic; an
-        unreachable worker is simply terminated below.
-        """
+        """Shut every worker down (gracefully, then firmly)."""
         with self._lock:
             if self._closed:
                 return
@@ -654,26 +624,7 @@ class ServiceCluster:
             self._pool.close()
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False)
-        for handle in handles:
-            if not handle.lock.acquire(timeout=2.0):
-                continue  # busy worker: skip graceful, terminate below
-            try:
-                handle.conn.send(("shutdown", None))
-                handle.conn.poll(2.0)
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-            finally:
-                handle.lock.release()
-        for handle in handles:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():  # pragma: no cover - stuck worker
-                    handle.process.terminate()
-                    handle.process.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        ipc.shutdown(handles)
         if self._store is not None:
             # After the workers are down: force-unlink every shared
             # segment so /dev/shm is clean the moment the owner returns.
@@ -967,78 +918,25 @@ class ServiceCluster:
                 merged["jobs"] = self.jobs.stats()
             return merged
 
-        def probe(handle: _WorkerHandle) -> Dict[str, Any]:
-            # A worker busy with a long cold explanation holds its pipe
-            # lock for the whole round-trip; observability must answer
-            # *now*, so wait briefly and fall back to the worker's last
-            # known snapshot (marked stale) instead of queueing behind the
-            # request.  Abandoning a sent request mid-pipe is not an
-            # option — it would desynchronise the request/response framing
-            # — hence the bounded wait happens on the lock, before
-            # sending.  Probes run concurrently so the stall is ~2s total,
-            # not 2s per busy worker.
-            if not handle.lock.acquire(timeout=2.0):
-                stale = dict(handle.last_stats or {})
-                stale["stale"] = True
-                return stale
-            try:
-                snapshot = self._request_locked(handle, "stats", None)
-                handle.last_stats = snapshot
-                return snapshot
-            except Exception as error:
-                return {"error": f"{type(error).__name__}: {error}"}
-            finally:
-                handle.lock.release()
-
-        with ThreadPoolExecutor(max_workers=len(self._handles)) as executor:
-            snapshots = list(executor.map(probe, self._handles))
-        workers: Dict[str, Any] = {
-            str(handle.index): snapshot
-            for handle, snapshot in zip(self._handles, snapshots)}
+        workers = ipc.probe_stats(self._handles, self.request_timeout, {})
         # Seed the merge from the retained base of dead workers' counters:
         # a restarted worker reports zeroed tallies, and without the base
         # the merged lifetime counters would move backwards.
+        totals: Dict[str, Any] = {
+            "contexts": {}, "metrics": [],
+            "cache": {"size": 0, "hits": 0, "misses": 0, "by_dataset": {},
+                      "by_worker": {}},
+            "negative_cache": {"size": 0, "hits": 0, "misses": 0,
+                               "by_dataset": {}, "by_worker": {}}}
         with self._lock:
-            base = copy.deepcopy(self._stats_base)
-        merged_contexts: Dict[str, Dict[str, Any]] = {}
-        cache = {"size": 0, "hits": 0, "misses": 0, "by_dataset": {},
-                 "by_worker": {}}
-        negative = {"size": 0, "hits": 0, "misses": 0, "by_dataset": {},
-                    "by_worker": {}}
-        metric_states: List[List[Dict[str, Any]]] = [base.get("metrics", [])]
-        for worker_id, snapshot in [(None, base)] + list(workers.items()):
+            _fold_snapshot(totals, self._stats_base, point_in_time=False)
+        for worker_id, snapshot in workers.items():
             if "error" in snapshot:
                 continue
-            for name, context in snapshot.get("contexts", {}).items():
-                merged = merged_contexts.setdefault(
-                    name, {"counters": {}, "stage_seconds": {},
-                           "dataset_version": 0})
-                for counter, value in context.get("counters", {}).items():
-                    merged["counters"][counter] = \
-                        merged["counters"].get(counter, 0) + value
-                for stage, seconds in context.get("stage_seconds", {}).items():
-                    merged["stage_seconds"][stage] = round(
-                        merged["stage_seconds"].get(stage, 0.0) + seconds, 6)
-                merged["dataset_version"] = max(
-                    merged["dataset_version"],
-                    context.get("dataset_version", 0))
-            for view, merged_view in ((snapshot.get("cache", {}), cache),
-                                      (snapshot.get("negative_cache", {}),
-                                       negative)):
-                for field_name in ("size", "hits", "misses", "evictions",
-                                   "expirations", "sweeps"):
-                    if field_name in view or field_name in merged_view:
-                        merged_view[field_name] = \
-                            merged_view.get(field_name, 0) + \
-                            view.get(field_name, 0)
-                for name, size in view.get("by_dataset", {}).items():
-                    merged_view["by_dataset"][name] = \
-                        merged_view["by_dataset"].get(name, 0) + size
-                if worker_id is not None:
-                    merged_view["by_worker"][worker_id] = view.get("size", 0)
-            if worker_id is not None and snapshot.get("metrics"):
-                metric_states.append(snapshot["metrics"])
-        merged_metrics = merge_metric_states(metric_states)
+            _fold_snapshot(totals, snapshot, point_in_time=True)
+            for block in ("cache", "negative_cache"):
+                totals[block]["by_worker"][worker_id] = \
+                    snapshot.get(block, {}).get("size", 0)
         with self._lock:
             front = {
                 "n_workers": self.n_workers,
@@ -1060,10 +958,10 @@ class ServiceCluster:
             "shard": "keys",
             "datasets": sorted(spec.name for spec in self._specs),
             "cluster": front,
-            "cache": cache,
-            "negative_cache": negative,
-            "contexts": merged_contexts,
-            "metrics": merged_metrics,
+            "cache": totals["cache"],
+            "negative_cache": totals["negative_cache"],
+            "contexts": totals["contexts"],
+            "metrics": totals["metrics"],
             "frame_store": self._frame_store_stats(),
             "workers": workers,
         }
@@ -1132,7 +1030,7 @@ class ServiceCluster:
             queries = [entry[0] for entry in history]
         if not queries:
             return
-        config = _worker_safe_config(spec.config)
+        config = spec.config or MESAConfig()
         hops, n_bins = config.hops, config.n_bins
         from repro.table.expressions import canonical_predicate_key
 
@@ -1404,110 +1302,36 @@ class ServiceCluster:
         if self._closed:
             raise ConfigurationError("ServiceCluster is closed")
 
-    def _poll_reply(self, handle: _WorkerHandle, op: str) -> None:
-        """Wait for a reply, failing fast when the worker process dies."""
-        ipc.poll_reply(handle, op, self.request_timeout)
-
-    def _request(self, handle: _WorkerHandle, op: str, payload) -> Any:
-        """One request/response round-trip (raises worker-side errors)."""
-        return ipc.request(handle, op, payload, self.request_timeout)
-
-    def _request_locked(self, handle: _WorkerHandle, op: str, payload) -> Any:
-        """The round-trip body; the caller must hold ``handle.lock``."""
-        return ipc.request_locked(handle, op, payload, self.request_timeout)
-
     def _dispatch(self, index: int, op: str, payload) -> Any:
         """Route an op to a worker; on a dead worker, restart and retry once."""
         handle = self._handles[index]
         generation = handle.generation
         try:
-            return self._request(handle, op, payload)
+            return ipc.request(handle, op, payload, self.request_timeout)
         except WorkerDiedError:
             self._restart_worker(index, observed_generation=generation)
             with self._lock:
                 self.request_retries += 1
-            return self._request(self._handles[index], op, payload)
-
-    def _absorb_last_stats(self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Fold a dead worker's last known snapshot into the stats base.
-
-        Only monotonic lifetime tallies survive — context counters and
-        stage seconds, cache hit/miss/eviction/expiration counts, and the
-        counter/histogram entries of the worker's metrics registry.
-        Point-in-time values (cache sizes, gauges) are dropped: the
-        replacement process genuinely starts empty, and keeping a ghost
-        occupancy would overstate capacity.  Caller must hold
-        ``handle.lock`` (the restart path does); ``self._lock`` guards the
-        base itself.
-        """
-        if not snapshot or "error" in snapshot:
-            return
-        with self._lock:
-            base = self._stats_base
-            for name, context in snapshot.get("contexts", {}).items():
-                merged = base["contexts"].setdefault(
-                    name, {"counters": {}, "stage_seconds": {},
-                           "dataset_version": 0})
-                for counter, value in context.get("counters", {}).items():
-                    merged["counters"][counter] = \
-                        merged["counters"].get(counter, 0) + value
-                for stage, seconds in context.get("stage_seconds",
-                                                  {}).items():
-                    merged["stage_seconds"][stage] = round(
-                        merged["stage_seconds"].get(stage, 0.0) + seconds, 6)
-                merged["dataset_version"] = max(
-                    merged["dataset_version"],
-                    context.get("dataset_version", 0))
-            for block in ("cache", "negative_cache"):
-                view = snapshot.get(block, {})
-                merged_view = base[block]
-                for field_name in ("hits", "misses", "evictions",
-                                   "expirations", "sweeps"):
-                    if field_name in view or field_name in merged_view:
-                        merged_view[field_name] = \
-                            merged_view.get(field_name, 0) + \
-                            view.get(field_name, 0)
-            monotonic = [entry for entry in snapshot.get("metrics", [])
-                         if entry.get("type") in ("counter", "histogram")]
-            if monotonic:
-                base["metrics"] = merge_metric_states(
-                    [base["metrics"], monotonic])
+            return ipc.request(handle, op, payload, self.request_timeout)
 
     def _restart_worker(self, index: int, observed_generation: int) -> None:
         """Replace a dead worker's process (once per observed death).
 
-        Before respawning, the dead worker's last known stats snapshot is
-        folded into the front tier's base so merged lifetime counters stay
-        monotonic across the restart (the fresh process reports zeros).
+        The dead worker's last known stats snapshot folds into the front
+        tier's base so merged lifetime counters stay monotonic across the
+        restart (the fresh process reports zeros); the fresh process then
+        re-adopts the published frames and re-warms in the background.
         """
         handle = self._handles[index]
         with handle.lock:
-            if handle.generation != observed_generation:
+            last_stats = handle.last_stats
+            if not ipc.respawn(handle, observed_generation,
+                               self._spawn_worker, self._closed):
                 return  # another thread already replaced this process
-            if self._closed:
-                raise WorkerDiedError(
-                    f"worker {index} died and the cluster is closed")
-            self._absorb_last_stats(handle.last_stats)
-            handle.last_stats = None
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if handle.process is not None and handle.process.is_alive():
-                handle.process.terminate()
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-            if self._store is not None:
-                # The dead process can never ack a release; drop it from
-                # every generation so retirements it was party to drain.
-                # Before the respawn, which re-attaches it as a reader of
-                # whatever it is about to receive.
-                self._store.drop_reader(index)
-            fresh = self._spawn_worker(index)
-            handle.process = fresh.process
-            handle.conn = fresh.conn
-            handle.generation += 1
-            handle.restarts += 1
+            if last_stats:
+                with self._lock:
+                    _fold_snapshot(self._stats_base, last_stats,
+                                   point_in_time=False)
             if self._store is not None:
                 # Re-publish the current frame generation: adoption state
                 # died with the process.
@@ -1515,8 +1339,9 @@ class ServiceCluster:
                     manifests = list(self._frame_manifests.items())
                     epoch = self._frame_epoch
                 for (dataset, _frame_key), manifest in manifests:
-                    self._request_locked(handle, "adopt_frame",
-                                         (dataset, manifest))
+                    ipc.request_locked(handle, "adopt_frame",
+                                       (dataset, manifest),
+                                       self.request_timeout)
                     self._store.attach_reader(("frames", dataset, epoch),
                                               index)
         with self._lock:

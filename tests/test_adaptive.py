@@ -199,30 +199,6 @@ class TestAdaptiveNeverFlipsUnlessExtended:
 
 
 class TestClopperPearsonFallback:
-    def test_bisection_matches_scipy(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        for a, b in [(1.0, 20.0), (3.0, 18.0), (5.5, 2.5), (40.0, 61.0)]:
-            for q in (1e-4, 0.025, 0.5, 0.975, 1 - 1e-4):
-                assert permutation._beta_ppf_bisect(q, a, b) == pytest.approx(
-                    scipy_stats.beta.ppf(q, a, b), abs=1e-8)
-
-    def test_interval_identical_under_pure_python_fallback(self, monkeypatch):
-        reference = [clopper_pearson_interval(k, n)
-                     for k, n in [(0, 50), (3, 50), (25, 50), (50, 50)]]
-        monkeypatch.setattr(permutation, "_BETA_PPF",
-                            permutation._beta_ppf_bisect)
-        fallback = [clopper_pearson_interval(k, n)
-                    for k, n in [(0, 50), (3, 50), (25, 50), (50, 50)]]
-        for (ref_lo, ref_hi), (fb_lo, fb_hi) in zip(reference, fallback):
-            assert fb_lo == pytest.approx(ref_lo, abs=1e-7)
-            assert fb_hi == pytest.approx(ref_hi, abs=1e-7)
-
-    def test_resolver_is_memoised(self, monkeypatch):
-        monkeypatch.setattr(permutation, "_BETA_PPF", None)
-        first = permutation._resolve_beta_ppf()
-        assert permutation._BETA_PPF is first
-        assert permutation._resolve_beta_ppf() is first
-
     def test_interval_brackets_the_point_estimate(self):
         for k, n in [(0, 30), (1, 30), (15, 30), (30, 30)]:
             lower, upper = clopper_pearson_interval(k, n)

@@ -390,14 +390,14 @@ class TestClusterServing:
             assert not any(one.cache_hit for one in served)
 
     def test_worker_faults_are_server_errors_not_client_errors(self):
-        from repro.serving.cluster import WorkerFaultError, _rebuild_error
+        from repro.distributed.ipc import WorkerFaultError, rebuild_error
 
-        rebuilt = _rebuild_error("KeyError", ("boom",))
+        rebuilt = rebuild_error("KeyError", ("boom",))
         assert isinstance(rebuilt, WorkerFaultError)
         assert not isinstance(rebuilt, (QueryError, ExplanationError))
-        exact = _rebuild_error("QueryError", ("bad column",))
+        exact = rebuild_error("QueryError", ("bad column",))
         assert isinstance(exact, QueryError)
-        assert isinstance(_rebuild_error("DatasetNotRegisteredError", ("x",)),
+        assert isinstance(rebuild_error("DatasetNotRegisteredError", ("x",)),
                           DatasetNotRegisteredError)
 
     def test_register_after_start_reaches_restarted_workers(

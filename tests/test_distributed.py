@@ -16,7 +16,9 @@ workloads whose verdicts are stable across the shard counts exercised.
 """
 
 import json
+import multiprocessing
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -206,7 +208,8 @@ class TestShardPool:
             {"kind": "cmi", "x": [("col", "p:x")], "y": [("col", "p:y")],
              "z": None, "n_x": n_x, "n_y": n_y, "n_z": 1,
              "weights": ["w:x"]},
-            {"kind": "entropy", "codes": [("col", "p:y")], "minlength": n_y},
+            {"kind": "joint", "target": [("col", "p:y")], "given": None,
+             "n_target": n_y},
             {"kind": "joint", "target": [("col", "p:x")],
              "given": [("col", "p:y")], "n_target": n_x, "n_given": n_y},
         ]
@@ -238,8 +241,8 @@ class TestShardPool:
         assert card == local_card
         merged = pool.counts(
             pool_ctx,
-            [{"kind": "entropy", "codes": steps + [("relabel", token)],
-              "minlength": card}],
+            [{"kind": "joint", "target": steps + [("relabel", token)],
+              "given": None, "n_target": card}],
             provider=shard_data.__getitem__)[0]
         local_counts = np.bincount(local_compact[local_compact >= 0],
                                    minlength=local_card)
@@ -296,8 +299,8 @@ class TestShardPool:
     def test_worker_restart_heals_and_retries(self, shard_data):
         with ShardPool(n_shards=2) as fresh:
             ctx = fresh.context_handle("t", 0, 1, 8, "ctx0", N_ROWS)
-            job = {"kind": "entropy", "codes": [("col", "p:x")],
-                   "minlength": 3}
+            job = {"kind": "joint", "target": [("col", "p:x")],
+                   "given": None, "n_target": 3}
             before = fresh.counts(ctx, [job],
                                   provider=shard_data.__getitem__)[0]
             fresh._handles[0].process.kill()
@@ -307,10 +310,51 @@ class TestShardPool:
             np.testing.assert_allclose(after, before, atol=0)
             assert fresh.worker_restarts >= 1
 
+    def test_unsupported_start_method_rejected(self):
+        # Both tiers resolve their start method through the same helper.
+        with pytest.raises(ConfigurationError):
+            ServiceCluster(start_method="forkserver")
+        with pytest.raises(ConfigurationError):
+            ShardPool(start_method="forkserver")
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched worker function crosses by fork inheritance")
+    def test_timed_out_request_does_not_desync_the_pipe(self, shard_data,
+                                                        monkeypatch):
+        """A request that times out leaves its worker owing a reply; the
+        next request on that worker must not read it as its own answer."""
+        from repro.distributed import worker as shard_worker
+        from repro.distributed.ipc import WorkerDiedError
+
+        real_partials = shard_worker.logistic_partials
+
+        def slow_partials(*args):
+            # Outlasts the 1 s timeout, then replies while the follow-up
+            # requests are still waiting on the same pipe.
+            time.sleep(2.0)
+            return real_partials(*args)
+
+        monkeypatch.setattr(shard_worker, "logistic_partials", slow_partials)
+        labels = (shard_data["p:y"][:, None] == np.arange(2)).astype(float)
+        job = {"kind": "joint", "target": [("col", "p:x")], "given": None,
+               "n_target": 3}
+        with ShardPool(n_shards=1, start_method="fork",
+                       request_timeout=1.0) as fresh:
+            ctx = fresh.context_handle("t", 0, 1, 8, "ctx0", N_ROWS)
+            with pytest.raises(WorkerDiedError):
+                fresh.fit_logistic_multi(ctx, ["p:y"], [4], labels,
+                                         provider=shard_data.__getitem__)
+            counts = fresh.counts(ctx, [job],
+                                  provider=shard_data.__getitem__)[0]
+            np.testing.assert_array_equal(
+                counts, np.bincount(shard_data["p:x"], minlength=3))
+            assert fresh.worker_restarts == 1
+
     def test_stats_report_shard_roles_and_residency(self, pool, pool_ctx,
                                                     shard_data):
-        pool.counts(pool_ctx, [{"kind": "entropy",
-                                "codes": [("col", "p:x")], "minlength": 3}],
+        pool.counts(pool_ctx, [{"kind": "joint", "target": [("col", "p:x")],
+                                "given": None, "n_target": 3}],
                     provider=shard_data.__getitem__)
         snapshot = pool.stats()
         assert snapshot["pool"]["n_shards"] == 3

@@ -56,8 +56,6 @@ class TestResolveNJobs:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             MESAConfig(n_jobs=0)
-        with pytest.raises(ConfigurationError):
-            MESAConfig(parallel_backend="ray")
 
 
 class TestThreadBackend:
@@ -92,18 +90,6 @@ class TestThreadBackend:
 
 
 class TestEnvelopeBackend:
-    def test_process_backend_round_trips(self, covid_bundle, covid_queries,
-                                         serial_results):
-        pipeline = ExplanationPipeline(
-            covid_bundle.table, covid_bundle.knowledge_graph,
-            covid_bundle.extraction_specs,
-            config=_config(covid_bundle, n_jobs=2, parallel_backend="process"))
-        envelopes = pipeline.explain_many_envelopes(covid_queries, k=3)
-        expected = [result.to_envelope() for result in serial_results]
-        assert [_strip_timings(a) for a in envelopes] == \
-            [_strip_timings(b) for b in expected]
-        assert pipeline.context.counters["parallel_batches"] == 1
-
     def test_thread_backend_wraps_results(self, covid_bundle, covid_queries,
                                           serial_results):
         pipeline = ExplanationPipeline(
@@ -113,47 +99,6 @@ class TestEnvelopeBackend:
         expected = [result.to_envelope() for result in serial_results]
         assert [_strip_timings(a) for a in envelopes] == \
             [_strip_timings(b) for b in expected]
-
-    def test_unknown_backend_rejected(self, covid_bundle, covid_queries):
-        pipeline = ExplanationPipeline(
-            covid_bundle.table, covid_bundle.knowledge_graph,
-            covid_bundle.extraction_specs, config=_config(covid_bundle))
-        with pytest.raises(ConfigurationError):
-            pipeline.explain_many_envelopes(covid_queries, backend="ray")
-
-
-class TestSpawnBackend:
-    """The spawn-safe process path (platforms without fork)."""
-
-    def test_forced_spawn_matches_serial(self, covid_bundle, covid_queries,
-                                         serial_results):
-        from repro.engine.parallel import explain_many_forked
-
-        pipeline = ExplanationPipeline(
-            covid_bundle.table, covid_bundle.knowledge_graph,
-            covid_bundle.extraction_specs,
-            config=_config(covid_bundle, parallel_backend="process"))
-        envelopes = explain_many_forked(pipeline, covid_queries, 3, 2,
-                                        start_method="spawn")
-        expected = [result.to_envelope() for result in serial_results]
-        assert [_strip_timings(a) for a in envelopes] == \
-            [_strip_timings(b) for b in expected]
-        counters = pipeline.context.counters
-        assert counters["parallel_batches"] == 1
-        assert counters["parallel_workers"] == 2
-        # Each spawned worker builds its own pipeline from the pickled
-        # dataset parts and warms it exactly once.
-        assert counters["queries_explained"] == len(covid_queries)
-
-    def test_invalid_start_method_rejected(self, covid_bundle, covid_queries):
-        from repro.engine.parallel import explain_many_forked
-
-        pipeline = ExplanationPipeline(
-            covid_bundle.table, covid_bundle.knowledge_graph,
-            covid_bundle.extraction_specs, config=_config(covid_bundle))
-        with pytest.raises(ConfigurationError):
-            explain_many_forked(pipeline, covid_queries, 3, 2,
-                                start_method="forkserver")
 
 
 class TestFitCacheWriteBack:
@@ -176,21 +121,6 @@ class TestFitCacheWriteBack:
         pipeline.explain_many(covid_queries, k=4)
         assert pipeline.context.counters["ipw_fit_miss"] == misses_after_first
         assert pipeline.context.counters.get("ipw_fit_hit", 0) >= written_back
-
-    def test_process_backend_ships_fits_across_the_boundary(
-            self, covid_bundle, covid_queries):
-        pipeline = ExplanationPipeline(
-            covid_bundle.table, covid_bundle.knowledge_graph,
-            covid_bundle.extraction_specs,
-            config=_config(covid_bundle, n_jobs=2, parallel_backend="process"))
-        pipeline.explain_many_envelopes(covid_queries, k=3)
-        counters = pipeline.context.counters
-        assert counters.get("ipw_fit_writeback", 0) > 0
-        assert len(pipeline.context.ipw_fit_cache) == \
-            counters["ipw_fit_writeback"]
-        # Written-back entries are immutable, like every cached fit.
-        for _key, entry in pipeline.context.ipw_fit_cache.drain_new_entries():
-            assert not entry.weights.flags.writeable
 
     def test_duplicate_fits_across_workers_merge_once(self, covid_bundle,
                                                       covid_queries):
