@@ -1,18 +1,20 @@
 """Row-shard benchmark: 1 vs 4 shards on the data axis, exactness gated.
 
 Serves the SO workload through the row-sharded data plane
-(``ServiceCluster(shard="rows")``: one control-plane service over N shard
-workers that each hold only a contiguous row range and answer
-partial-count / permutation / IRLS-partial requests) and verifies, at
-both shard counts, that every envelope equals the single-process engine
-and that all 7 explainers reproduce the plain pipeline's explanations
-through a 4-shard pool.
+(``ExplanationService(shard_pool=ShardPool(n_shards=N))``: one service
+whose engine counts through N shard workers that each hold only a
+contiguous row range and answer partial-count / permutation /
+IRLS-partial requests; above one shard the pool ships columns through
+its shared-memory frame store) and verifies, at both shard counts, that
+every envelope equals the single-process engine and that all 7
+explainers reproduce the plain pipeline's explanations through a 4-shard
+pool.
 
 **What the 2x gate measures.**  Key-sharded replicas (bench_cluster.py)
 scale the *user* axis; the row-sharded tier scales the *data* axis — its
 machine-independent win is per-worker data residency, not wall-clock: at
 N shards every worker holds ``ceil(rows / N)`` rows of the registered
-table instead of all of them, which is what lets the cluster serve tables
+table instead of all of them, which is what lets the service serve tables
 no single worker could hold.  The gate therefore checks **data-plane
 scaling**: the largest per-worker resident row count must shrink by at
 least ``--min-scaling`` (default 2x; the 4-shard layout gives 4x) and
@@ -48,7 +50,7 @@ from repro.datasets.registry import load_dataset
 from repro.distributed.coordinator import ShardPool
 from repro.engine import ExplanationPipeline, available_explainers, get_explainer
 from repro.mesa.config import MESAConfig
-from repro.serving.cluster import ServiceCluster
+from repro.serving.service import ExplanationService
 
 DATASET = "SO"
 N_ROWS = 4000
@@ -68,20 +70,20 @@ def explanations_equal(ours, reference) -> bool:
 
 
 def run_topology(bundle, config, n_shards: int, queries) -> dict:
-    """Cold-serve the workload through a rows-mode cluster; gather stats."""
-    cluster = ServiceCluster(n_workers=n_shards, shard="rows",
-                             service_kwargs={"coalesce_window_seconds": 0.0})
-    cluster.register_bundle(bundle, config=config, warm=False)
+    """Cold-serve the workload through a service over row shards."""
     startup_begin = time.perf_counter()
+    service = ExplanationService(
+        coalesce_window_seconds=0.0,
+        shard_pool=ShardPool(n_shards=n_shards, frame_store=n_shards > 1))
     try:
-        cluster.start()
+        service.register_bundle(bundle, config=config, warm=False)
         startup_seconds = time.perf_counter() - startup_begin
         start = time.perf_counter()
-        served = [cluster.explain(DATASET, query, k=K) for query in queries]
+        served = [service.explain(DATASET, query, k=K) for query in queries]
         seconds = time.perf_counter() - start
-        snapshot = cluster.stats()
+        snapshot = service.stats()
     finally:
-        cluster.close()
+        service.close()
     workers = {
         index: {
             "role": worker.get("role"),
@@ -101,7 +103,7 @@ def run_topology(bundle, config, n_shards: int, queries) -> dict:
         "max_worker_context_rows": max(
             worker["max_context_rows"] for worker in workers.values()),
         "workers": workers,
-        "data_plane": snapshot["cluster"]["data_plane"],
+        "data_plane": snapshot["data_plane"],
         "explanations": [one.envelope.explanation for one in served],
     }
 

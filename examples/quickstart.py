@@ -162,25 +162,28 @@ def main() -> None:
               f"{merged['cluster']['n_workers']} workers, "
               f"{merged['cluster']['requests_routed']} routed requests")
 
-    # 9. Scaling the *data* axis: `shard="rows"` splits each registered
-    #    table into contiguous row ranges — one per worker — and the engine
-    #    scatter-gathers partial contingency counts, within-shard
-    #    permutations and IRLS normal-equation partials, merging them
-    #    before the entropy/solve step.  Counts are additive over row
-    #    partitions, so estimates equal the single-process engine's while
-    #    each worker holds only O(rows / N) of the table —
-    #    `python -m repro.serving --workers 4 --shard rows` serves tables
-    #    no single worker could hold, and stats() shows the per-worker
-    #    layout.  (Permutation tests draw per-shard RNG streams, so a
-    #    relevance verdict sitting exactly on the acceptance boundary can
-    #    legitimately differ across shard layouts; this demo uses a
+    # 9. Scaling the *data* axis: a service built over a `ShardPool`
+    #    splits each registered table into contiguous row ranges — one per
+    #    shard worker — and its engine scatter-gathers partial contingency
+    #    counts, within-shard permutations and IRLS normal-equation
+    #    partials, merging them before the entropy/solve step.  Counts are
+    #    additive over row partitions, so estimates equal the
+    #    single-process engine's while each worker holds only O(rows / N)
+    #    of the table — `python -m repro.serving --workers 4 --shard rows`
+    #    serves tables no single worker could hold, and stats() shows the
+    #    per-shard layout.  (Permutation tests draw per-shard RNG streams,
+    #    so a relevance verdict sitting exactly on the acceptance boundary
+    #    can legitimately differ across shard layouts; this demo uses a
     #    verdict-stable query — see tests/test_distributed.py for the
     #    systematic equality coverage.)
+    from repro.distributed import ShardPool
+    from repro.serving import LocalClient
+
     stable_query = bundle.queries[0].query
     direct = pipeline.explain(stable_query, k=3)
-    rows_cluster = ServiceCluster(n_workers=2, shard="rows")
-    rows_cluster.register_bundle(bundle, config=pipeline.config, warm=False)
-    with ClusterClient(rows_cluster) as client:
+    rows_service = ExplanationService(shard_pool=ShardPool(n_shards=2))
+    rows_service.register_bundle(bundle, config=pipeline.config, warm=False)
+    with LocalClient(rows_service) as client:
         row_sharded = client.explain(bundle.name, stable_query, k=3)
         same_attrs = row_sharded.envelope.explanation.attributes == \
             direct.explanation.attributes

@@ -147,20 +147,22 @@ caches in every process retire coherently.  On the serving path the
 permutation early exit is on by default (the p-value audit: nothing
 consumes more than the boolean independence verdict, which the exit
 provably never flips), and so is the speculative pipelined search (it is
-bit-identical by construction); construct ``ExplanationService(...,
-permutation_early_exit=False, speculative_search=False)`` to opt out.
+bit-identical by construction); to serve with the engine defaults,
+register a pre-built pipeline with ``ExplanationService.register``, which
+never rewrites its configuration.
 Adaptive budgets stay caller-opt-in even when serving — an extension can
 replace a statistically uncertain verdict, which is a semantic change the
 deployment must choose (``config.with_overrides(
 max_responsibility_permutations=...)`` at registration).
 
-``ServiceCluster(shard="rows")`` scales the **data** axis instead of the
-key axis: each registered table is split into N contiguous row ranges —
-one per shard worker — and the engine scatter-gathers the row-sharded
-data plane (:mod:`repro.distributed`): per-shard partial contingency
-counts summed before the entropy step (weighted bincounts over fused
-codes are additive over row partitions, so estimates equal the
-single-process engine's exactly), permutation tests stratified *within*
+``ExplanationService(shard_pool=ShardPool(n_shards=N))`` scales the
+**data** axis instead of the key axis, with one service rather than a
+cluster: each registered table is split into N contiguous row ranges,
+one per shard worker, and the service's engine scatter-gathers the
+row-sharded data plane (:mod:`repro.distributed`): per-shard partial
+contingency counts summed before the entropy step (weighted bincounts
+over fused codes are additive over row partitions, so estimates equal
+the single-process engine's exactly), permutation tests stratified *within*
 shards on chunk-aligned per-shard RNG streams (deterministic for a given
 shard count, and provably identical between early-exit and full runs;
 adaptive budget extensions request whole chunks, so an extended run
@@ -169,10 +171,12 @@ re-derives the exact draws a fixed run would have made — and the
 start of its per-chunk stream, so both streams stay shard-deterministic),
 and IPW selection fits solved by distributed IRLS (per-shard ``X'WX`` /
 ``X'Wz`` partials, coefficients matching the local solver to 1e-7).
-Every worker holds only ``O(rows / N)`` of the table, so the cluster
-serves tables no single worker could hold; ``stats()`` reports each
-worker's role and resident row count.  ``python -m repro.serving
---workers 4 --shard rows`` serves this topology over the same HTTP API.
+Every worker holds only ``O(rows / N)`` of the table, so the service
+serves tables no single worker could hold; ``stats()`` reports the data
+plane (``data_plane``) and each shard's role and resident row count
+(``workers``), and ``health()`` reads ``degraded`` while a shard is down.
+``python -m repro.serving --workers 4 --shard rows`` serves this topology
+over the same HTTP API.
 
 A stdlib JSON-over-HTTP front end serves **any** client — one process or
 a whole cluster is just ``python -m repro.serving --dataset SO --workers
@@ -204,9 +208,10 @@ shared memory actually works (probed, not assumed — containers may mount
 no ``/dev/shm``), and falls back to the classic copy path otherwise;
 ``python -m repro.serving --workers 8 --frame-store off`` opts out, and
 ``ServiceCluster(frame_store=True/False/None)`` is the programmatic knob.
-Row-sharded clusters (``shard="rows"``) publish each shard's fused code
-columns through the same store, so scatter-gather jobs ship refs instead
-of array pickles.  Lifecycle rides the dataset version: invalidation
+A shard pool (``ShardPool(frame_store=True)``, which ``--shard rows``
+builds unless ``--frame-store off``) publishes each context's columns
+through a pool-owned store, so scatter-gather jobs ship refs instead of
+array pickles.  Lifecycle rides the dataset version: invalidation
 retires a generation of segments, which unlink once the last worker
 detaches — readers mid-request finish on their old views (an unlinked
 mapping stays valid until unmapped), and attachment never registers with
@@ -269,11 +274,11 @@ in it:
   ``cancel_job`` / ``list_jobs``.
 * **Live datasets.**  ``append_rows(dataset, rows)`` grows a registered
   table in place: the dataset version bumps durably, every cache tier
-  in every process retires coherently (rows-mode clusters re-partition
-  their shard ranges, frame-store generations retire), and a background
-  re-warm job replays the recorded top-K queries against the new
-  version — streaming scenarios like "explain this week's drift" need
-  no re-registration.  ``POST /append_rows`` over HTTP.
+  in every process retires coherently (a service over row shards
+  re-partitions their ranges, frame-store generations retire), and a
+  background re-warm job replays the recorded top-K queries against the
+  new version — streaming scenarios like "explain this week's drift"
+  need no re-registration.  ``POST /append_rows`` over HTTP.
 
 Serving under SIGTERM/SIGINT is graceful: the signal drains in-flight
 connections, checkpoints RUNNING jobs back to PENDING (their prefix

@@ -21,18 +21,22 @@ rounds:
   stream (:func:`repro.utils.rng.derive_seed` over the shard index and
   block index), so verdicts are reproducible for any shard count;
 * **IRLS** — the IPW selection fits decompose per Newton step into
-  per-shard ``X'WX`` / ``X'(s - p)`` partials; the coordinator merges,
-  applies the ridge penalty, solves and rebroadcasts beta, following the
-  same trajectory as :func:`repro.missingness.logistic.fit_logistic_multi`
-  to numerical tolerance.
+  per-shard ``X'WX`` / ``X'(s - p)`` partials
+  (:func:`repro.missingness.logistic.logistic_partials`); the coordinator
+  merges them and runs the local fit's own Newton loop
+  (:func:`repro.missingness.logistic.drive_newton`: ridge penalty, solve,
+  convergence), so it follows the same trajectory as
+  :func:`repro.missingness.logistic.fit_logistic_multi` to numerical
+  tolerance.
 
 :class:`~repro.distributed.coordinator.ShardPool` owns the worker
 processes (started, replaced and stopped by the worker lifecycle in
 :mod:`repro.distributed.ipc`, which the serving cluster shares);
 :class:`~repro.distributed.counts.ShardCounts` is the counts source a
 :class:`~repro.core.problem.CorrelationExplanationProblem` uses to route
-its estimates through a pool.  ``ServiceCluster(shard="rows")`` wires the
-whole stack into the serving tier.
+its estimates through a pool.  ``ExplanationService(shard_pool=ShardPool(
+...))`` wires the whole stack into the serving tier: the service attaches
+the pool to every pipeline it registers.
 """
 
 from repro.distributed.coordinator import ShardContext, ShardPool

@@ -22,6 +22,13 @@ dead worker is respawned blank, its per-context shipped bookkeeping is
 reset, and the failed request is retried once — the prepare step re-ships
 whatever the retried request needs.
 
+**Shared memory.**  With ``frame_store=True`` the pool creates and owns
+a :class:`~repro.shm.store.FrameStore`: each full column is published
+into a shared segment **once per context** and every shard maps a
+read-only view of its row range (zero copy).  Every context owns one
+segment generation, retired when the context is dropped or evicted;
+:meth:`ShardPool.close` closes the store, so no caller manages segments.
+
 **Compaction.**  When a fused code space outgrows the dense-count budget,
 compaction must be *global* (every shard must agree on the relabelling).
 :meth:`ShardPool.compact` runs the two-phase protocol: workers report the
@@ -49,8 +56,13 @@ from repro.distributed.partition import row_ranges
 from repro.distributed.worker import _shard_worker_main
 from repro.exceptions import ConfigurationError
 from repro.infotheory import permutation
-from repro.missingness.logistic import LogisticRegression
+from repro.missingness.logistic import (
+    LogisticRegression,
+    check_labels,
+    drive_newton,
+)
 from repro.obs import trace
+from repro.shm import FrameStore, shm_available
 
 #: Retire the least-recently-used shard context beyond this many (matches
 #: the engine's frame-cache budget — contexts past it are cold there too).
@@ -126,29 +138,24 @@ class ShardPool:
         :class:`~repro.serving.cluster.ServiceCluster`.
     request_timeout:
         Seconds to wait for one worker reply before declaring it dead.
-    max_contexts:
-        LRU budget on registered contexts (worker slices are dropped when
-        a context retires).
     frame_store:
-        Optional :class:`repro.shm.store.FrameStore`.  When set, column
-        slices are not pickled down worker pipes: the full column is
-        published into a shared segment **once per context** and every
-        shard maps a read-only view of its row range (zero copy).  The
-        pool does not own the store — the caller closes it.
+        Ship columns through a pool-owned shared-memory store instead of
+        pickling slices down worker pipes (see **Shared memory** above);
+        where POSIX shared memory is unusable the pool silently keeps the
+        copy path.
     """
 
     def __init__(self, n_shards: int = 2,
                  start_method: Optional[str] = None,
                  request_timeout: float = 600.0,
-                 max_contexts: int = MAX_SHARD_CONTEXTS,
-                 frame_store: Optional[Any] = None):
+                 frame_store: bool = False):
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
         self.start_method = ipc.resolve_start_method(start_method)
         self.n_shards = n_shards
         self.request_timeout = request_timeout
-        self.max_contexts = max_contexts
-        self._store = frame_store
+        self._store = FrameStore() if frame_store and shm_available() \
+            else None
         self._handles: List[ipc.PipeWorkerHandle] = []
         self._contexts: "OrderedDict[Tuple, ShardContext]" = OrderedDict()
         self._lock = threading.Lock()
@@ -185,7 +192,7 @@ class ShardPool:
                                 f"repro-shard-worker-{index}")
 
     def close(self) -> None:
-        """Shut every shard worker down (gracefully, then firmly)."""
+        """Shut every shard worker down, then unlink the pool's segments."""
         with self._lock:
             if self._closed:
                 return
@@ -195,13 +202,7 @@ class ShardPool:
             self._executor.shutdown(wait=False)
         ipc.shutdown(handles)
         if self._store is not None:
-            # The pool does not own the store, but its shard generations
-            # are dead weight once the workers are gone — retire them so a
-            # long-lived shared store does not accumulate /dev/shm bytes.
-            with self._lock:
-                dropped = list(self._contexts.values())
-            for ctx in dropped:
-                self._retire_ctx(ctx)
+            self._store.close()
 
     def __enter__(self) -> "ShardPool":
         return self.start()
@@ -236,7 +237,7 @@ class ShardPool:
                 relabel_shipped=[set() for _ in range(self.n_shards)])
             self._contexts[key] = ctx
             self._contexts.move_to_end(key)
-            while len(self._contexts) > self.max_contexts:
+            while len(self._contexts) > MAX_SHARD_CONTEXTS:
                 _, old = self._contexts.popitem(last=False)
                 evicted.append(old)
         for old in evicted:
@@ -393,12 +394,13 @@ class ShardPool:
     def _scatter(self, ctx: ShardContext, op: str,
                  payload_for: Callable[[int], Any],
                  columns: Sequence[str], tokens: Sequence[str],
-                 provider: Optional[ColumnProvider]) -> List[Any]:
+                 provider: Optional[ColumnProvider],
+                 retry: bool = True) -> List[Any]:
         """Run one op on every shard concurrently; results in shard order."""
         self._ensure_running()
         if self.n_shards == 1:
             return [self._run_on_worker(ctx, 0, op, payload_for(0),
-                                        columns, tokens, provider)]
+                                        columns, tokens, provider, retry)]
         # Executor threads inherit the caller's trace (if any) so the
         # per-shard rpc spans land in the request's tree.
         captured = trace.capture()
@@ -406,7 +408,7 @@ class ShardPool:
             self._executor.submit(trace.call_with_capture, captured,
                                   self._run_on_worker, ctx, index, op,
                                   payload_for(index), columns, tokens,
-                                  provider)
+                                  provider, retry)
             for index in range(self.n_shards)]
         return [future.result() for future in futures]
 
@@ -560,19 +562,17 @@ class ShardPool:
         predictor slices (global ``cards`` pin the columns) and hold their
         label slice for the fit's duration; each Newton step scatters the
         active beta and gathers ``X'(s - p)`` / ``X'WX`` partials, which
-        :func:`repro.distributed.irls.drive_irls` merges, penalises and
-        solves.  Raises :class:`~repro.distributed.ipc.WorkerDiedError` if
-        a shard dies mid-fit — per-fit worker state is not replayed;
-        callers fall back to the local solver (they hold the full design
-        already, for prediction).
+        :func:`repro.missingness.logistic.drive_newton` — the loop the
+        local fit runs — merges, penalises and solves.  Raises
+        :class:`~repro.distributed.ipc.WorkerDiedError` if a shard dies
+        mid-fit — per-fit worker state is not replayed; callers fall back
+        to the local solver (they hold the full design already, for
+        prediction).
         """
-        from repro.distributed.irls import drive_irls
-
-        labels_matrix = np.asarray(labels_matrix, dtype=np.float64)
+        labels_matrix = check_labels(labels_matrix)
         with self._lock:
             self._fit_counter += 1
             fit_id = f"f{self._fit_counter}"
-        columns = list(predictors)
 
         def begin_payload(index: int) -> Dict[str, Any]:
             start, stop = ctx.ranges[index]
@@ -581,7 +581,7 @@ class ShardPool:
                     "labels": labels_matrix[start:stop]}
 
         widths = self._scatter(ctx, "irls_begin", begin_payload,
-                               columns, (), provider)
+                               list(predictors), (), provider)
         n_coefficients = int(widths[0])
         if any(int(width) != n_coefficients for width in widths):
             raise ConfigurationError(
@@ -594,18 +594,8 @@ class ShardPool:
             # No restart-and-retry: a respawned worker has no fit state,
             # so a mid-fit death aborts the distributed fit (callers fall
             # back to the local solver).
-            if self.n_shards == 1:
-                parts = [self._run_on_worker(ctx, 0, "irls_step", payload,
-                                             (), (), provider, retry=False)]
-            else:
-                captured = trace.capture()
-                futures = [
-                    self._executor.submit(trace.call_with_capture, captured,
-                                          self._run_on_worker, ctx, index,
-                                          "irls_step", payload, (), (),
-                                          provider, False)
-                    for index in range(self.n_shards)]
-                parts = [future.result() for future in futures]
+            parts = self._scatter(ctx, "irls_step", lambda index: payload,
+                                  (), (), provider, retry=False)
             gradients = np.asarray(parts[0][0], dtype=np.float64).copy()
             hessians = np.asarray(parts[0][1], dtype=np.float64).copy()
             for part in parts[1:]:
@@ -614,8 +604,8 @@ class ShardPool:
             return gradients, hessians
 
         try:
-            return drive_irls(step, labels_matrix, n_coefficients,
-                              l2=l2, max_iter=max_iter, tol=tol)
+            return drive_newton(step, labels_matrix, n_coefficients,
+                                l2=l2, max_iter=max_iter, tol=tol)
         finally:
             for handle in self._handles:
                 try:

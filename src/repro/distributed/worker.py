@@ -274,6 +274,7 @@ def _shard_worker_main(conn, shard_index: int, n_shards: int) -> None:
             entry["fits"][payload["fit"]] = {
                 "design": design,
                 "labels": np.asarray(payload["labels"], dtype=np.float64),
+                "totals": np.ones(len(design)),
             }
             return design.shape[1]
         if op == "irls_step":
@@ -285,7 +286,7 @@ def _shard_worker_main(conn, shard_index: int, n_shards: int) -> None:
             active = np.asarray(payload["active"], dtype=np.int64)
             return logistic_partials(fit["design"],
                                      fit["labels"][:, active],
-                                     payload["beta"])
+                                     payload["beta"], fit["totals"])
         if op == "irls_end":
             entry = store.contexts.get(payload["ctx"])
             if entry is not None:

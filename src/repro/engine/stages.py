@@ -135,7 +135,7 @@ def _build_problem(state: QueryState, context: PipelineContext,
                    ) -> CorrelationExplanationProblem:
     """Build the problem instance over the right counts source.
 
-    With ``context.shard_pool`` set (rows-mode serving) the problem counts
+    With ``context.shard_pool`` set (row-sharded serving) the problem counts
     through a :class:`~repro.distributed.counts.ShardCounts` source over
     the pool's row-shard workers; otherwise it counts over this process's
     frame.  Every permutation test runs under one

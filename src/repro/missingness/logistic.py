@@ -11,7 +11,7 @@ here with L2-regularised Newton/IRLS optimisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -149,71 +149,34 @@ def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
     """Fit one logistic model per column of ``labels_matrix`` in one solve.
 
     The IPW layer fits a selection model per biased attribute over the
-    *same* design matrix; running those fits one by one repeats the whole
-    Newton machinery per attribute.  This multi-label IRLS path batches the
-    per-iteration work across all labels:
-
-    * one ``design @ Beta`` matmul evaluates every label's linear
-      predictor;
-    * one ``einsum`` assembles every label's Hessian
-      ``X^T diag(w_l) X``;
-    * one *batched* ``np.linalg.solve`` over the stacked ``(L, d, d)``
-      Hessians performs every label's Newton step.
-
-    Per label, every iteration computes exactly the quantities of
-    :meth:`LogisticRegression.fit` (same grouping decision, same degenerate
-    fallback, same per-label convergence test on the step norm), so each
-    returned model follows the same Newton trajectory as an individual fit
-    up to floating-point summation order — coefficients agree to well below
-    the tolerances the estimators care about.  Labels that converge are
-    frozen; the loop continues with the still-active columns only.
+    *same* design matrix, so the Newton work is batched across all labels
+    (:func:`drive_newton` over :func:`logistic_partials`).  Per label,
+    every iteration computes exactly the quantities of
+    :meth:`LogisticRegression.fit` (same grouping decision, same
+    degenerate fallback, same convergence test on the step norm), so each
+    model follows the same Newton trajectory as an individual fit up to
+    floating-point summation order.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels_matrix = np.asarray(labels_matrix, dtype=np.float64)
     if features.ndim != 2:
         raise MissingDataError(f"features must be 2-dimensional, got shape {features.shape}")
-    if labels_matrix.ndim != 2:
-        raise MissingDataError(
-            f"labels_matrix must be 2-dimensional, got shape {labels_matrix.shape}")
+    labels_matrix = check_labels(labels_matrix)
     if len(features) != len(labels_matrix):
         raise MissingDataError(
             f"features ({len(features)} rows) and labels_matrix "
             f"({len(labels_matrix)}) differ in length")
-    if not np.isin(labels_matrix, (0.0, 1.0)).all():
-        raise MissingDataError("labels must be binary (0/1)")
     n_rows, n_features = features.shape
     n_labels = labels_matrix.shape[1]
-    models = [LogisticRegression(l2=l2, max_iter=max_iter, tol=tol)
-              for _ in range(n_labels)]
-    if n_labels == 0:
-        return models
     design = np.hstack([np.ones((n_rows, 1)), features])
-    penalty = np.full(n_features + 1, l2)
-    penalty[0] = 0.0
-    beta = np.zeros((n_features + 1, n_labels))
-
-    active: List[int] = []
-    for label in range(n_labels):
-        column = labels_matrix[:, label]
-        if n_rows == 0 or column.min() == column.max():
-            rate = float(np.clip(column.mean() if n_rows else 0.5, 1e-6, 1 - 1e-6))
-            frozen = np.zeros(n_features + 1)
-            frozen[0] = np.log(rate / (1 - rate))
-            models[label]._store(frozen, converged=True, iterations=0)
-            beta[:, label] = frozen
-        else:
-            active.append(label)
-    active_idx = np.array(active, dtype=np.int64)
-
     totals = np.ones(n_rows)
     successes = labels_matrix
-    if row_groups is not None and len(active_idx):
+    if row_groups is not None and _varying_labels(labels_matrix).any():
         row_groups = np.asarray(row_groups, dtype=np.int64)
         if len(row_groups) != n_rows:
             raise MissingDataError(
                 f"row_groups ({len(row_groups)} rows) and features "
                 f"({n_rows}) differ in length")
-        n_groups = int(row_groups.max()) + 1 if n_rows else 0
+        n_groups = int(row_groups.max()) + 1
         if 0 < n_groups <= n_rows // 2:
             representatives = np.zeros(n_groups, dtype=np.int64)
             representatives[row_groups[::-1]] = np.arange(n_rows - 1, -1, -1)
@@ -224,26 +187,78 @@ def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
                              minlength=n_groups)
                  for label in range(n_labels)], axis=1)
 
+    def step(beta: np.ndarray,
+             active_idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return logistic_partials(design, successes[:, active_idx], beta,
+                                 totals)
+
+    return drive_newton(step, labels_matrix, n_features + 1,
+                        l2=l2, max_iter=max_iter, tol=tol)
+
+
+def check_labels(labels_matrix: np.ndarray) -> np.ndarray:
+    """``labels_matrix`` as a float ``(n, L)`` matrix of 0/1 labels."""
+    labels_matrix = np.asarray(labels_matrix, dtype=np.float64)
+    if labels_matrix.ndim != 2:
+        raise MissingDataError(
+            f"labels_matrix must be 2-dimensional, got shape {labels_matrix.shape}")
+    if not np.isin(labels_matrix, (0.0, 1.0)).all():
+        raise MissingDataError("labels must be binary (0/1)")
+    return labels_matrix
+
+
+def _varying_labels(labels_matrix: np.ndarray) -> np.ndarray:
+    """Per label: does it take both values (i.e. has a unique MLE)?"""
+    if not len(labels_matrix):
+        return np.zeros(labels_matrix.shape[1], dtype=bool)
+    return labels_matrix.min(axis=0) != labels_matrix.max(axis=0)
+
+
+def drive_newton(step: Callable[[np.ndarray, np.ndarray],
+                                 Tuple[np.ndarray, np.ndarray]],
+                 labels_matrix: np.ndarray, n_coefficients: int,
+                 l2: float = 1e-3, max_iter: int = 50,
+                 tol: float = 1e-8) -> List[LogisticRegression]:
+    """The multi-label Newton loop over any source of partials.
+
+    ``step(beta_active, active_idx)`` returns the unpenalised partials of
+    the active labels (see :func:`logistic_partials`): over the local
+    design in :func:`fit_logistic_multi`, or merged from per-shard
+    partials by :meth:`repro.distributed.coordinator.ShardPool.
+    fit_logistic_multi`.  ``labels_matrix`` is the full, checked label
+    matrix: degenerate labels (all 0 or all 1) have no unique MLE and
+    freeze at the intercept-only model of their empirical rate.  Each
+    iteration adds the ridge penalty (never on the intercept), solves
+    every active label's step in one batched solve (per label on a
+    singular system) and retires the labels whose step norm fell below
+    ``tol``.  ``n_coefficients`` counts the intercept.
+    """
+    n_labels = labels_matrix.shape[1]
+    models = [LogisticRegression(l2=l2, max_iter=max_iter, tol=tol)
+              for _ in range(n_labels)]
+    penalty = np.full(n_coefficients, l2)
+    penalty[0] = 0.0
+    beta = np.zeros((n_coefficients, n_labels))
+    varying = _varying_labels(labels_matrix)
+    for label in np.flatnonzero(~varying):
+        column = labels_matrix[:, label]
+        rate = float(np.clip(column.mean() if len(column) else 0.5,
+                             1e-6, 1 - 1e-6))
+        beta[0, label] = np.log(rate / (1 - rate))
+        models[label]._store(beta[:, label], converged=True, iterations=0)
+    active_idx = np.flatnonzero(varying)
+
     for iteration in range(1, max_iter + 1):
         if not len(active_idx):
             break
         current = beta[:, active_idx]
-        linear = design @ current
-        probabilities = np.clip(_sigmoid(linear), 1e-9, 1 - 1e-9)
-        weights = totals[:, None] * probabilities * (1.0 - probabilities)
-        gradients = design.T @ (successes[:, active_idx]
-                                - totals[:, None] * probabilities) \
-            - penalty[:, None] * current
-        # Batched X^T diag(w_l) X via stacked GEMMs: (A, d, n) @ (A, n, d).
-        weighted = design[None, :, :] * weights.T[:, :, None]
-        hessians = np.matmul(
-            np.broadcast_to(design.T, (len(active_idx),) + design.T.shape),
-            weighted)
-        hessians += np.diag(penalty + 1e-12)[None, :, :]
+        gradients, hessians = step(current, active_idx)
+        gradients = gradients - penalty[:, None] * current
+        hessians = hessians + np.diag(penalty + 1e-12)[None, :, :]
         try:
             steps = np.linalg.solve(hessians, gradients.T[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            steps = np.empty((len(active_idx), n_features + 1))
+            steps = np.empty((len(active_idx), n_coefficients))
             for position in range(len(active_idx)):
                 try:
                     steps[position] = np.linalg.solve(
@@ -251,8 +266,7 @@ def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
                 except np.linalg.LinAlgError:
                     steps[position] = np.linalg.lstsq(
                         hessians[position], gradients[:, position], rcond=None)[0]
-        updated = current + steps.T
-        beta[:, active_idx] = updated
+        beta[:, active_idx] = current + steps.T
         converged_now = np.abs(steps).max(axis=1) < tol
         for position in np.flatnonzero(converged_now):
             label = int(active_idx[position])
@@ -312,26 +326,25 @@ def one_hot_encode_codes(code_arrays: List[np.ndarray],
 
 
 def logistic_partials(design: np.ndarray, successes: np.ndarray,
-                      beta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-shard Newton partials: unpenalised gradients and Hessians.
+                      beta: np.ndarray, totals: np.ndarray,
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Unpenalised Newton partials of a multi-label logistic fit.
 
-    ``design`` is this shard's slice of the (intercept-augmented) design
-    matrix, ``successes`` its ``(n, L)`` label slice, and ``beta`` the
-    current ``(d, L)`` coefficients broadcast by the coordinator.  Returns
-    ``(gradients, hessians)`` of shapes ``(d, L)`` and ``(L, d, d)`` —
-    exactly the ``X^T (s - p)`` and ``X^T diag(w) X`` terms of
-    :func:`fit_logistic_multi` restricted to this shard's rows, with no
-    penalty (the coordinator applies it once after merging).  Both terms
-    are sums over rows, so the merged partials of any row partition equal
-    the whole-table quantities up to float summation order.
+    ``design`` is an intercept-augmented design — the whole table's,
+    binomially grouped, or one shard's row slice — with ``(n, A)``
+    ``successes`` of the active labels, their ``(d, A)`` coefficients
+    ``beta`` and ``(n,)`` trial ``totals`` (ones for ungrouped rows).
+    Returns ``X^T (s - t p)`` and ``X^T diag(t p (1 - p)) X``, shaped
+    ``(d, A)`` and ``(A, d, d)``.  Both are sums over rows, so the merged
+    partials of any row partition equal the whole-table terms up to float
+    summation order.
     """
-    design = np.asarray(design, dtype=np.float64)
-    successes = np.asarray(successes, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
     linear = design @ beta
     probabilities = np.clip(_sigmoid(linear), 1e-9, 1 - 1e-9)
-    weights = probabilities * (1.0 - probabilities)
-    gradients = design.T @ (successes - probabilities)
+    expected = totals[:, None] * probabilities
+    weights = expected * (1.0 - probabilities)
+    gradients = design.T @ (successes - expected)
+    # Batched X^T diag(w_l) X via stacked GEMMs: (A, d, n) @ (A, n, d).
     weighted = design[None, :, :] * weights.T[:, :, None]
     hessians = np.matmul(
         np.broadcast_to(design.T, (beta.shape[1],) + design.T.shape),

@@ -429,6 +429,33 @@ def _render_memory_block(out: _Renderer, stats: Mapping[str, Any]) -> None:
         out.sample("repro_frame_store_attach_total", {}, attach_total)
 
 
+#: The optional fields of a worker-tier block: (key, metric, type, help).
+_WORKER_TIER_FIELDS = (
+    ("workers_alive", "repro_cluster_workers_alive", "gauge",
+     "workers that answered the last stats probe"),
+    ("worker_restarts", "repro_cluster_worker_restarts_total", "counter",
+     "dead workers restarted since start"),
+    ("requests_routed", "repro_cluster_requests_routed_total", "counter",
+     "requests dispatched to workers"),
+    ("dataset_updates", "repro_cluster_dataset_updates_total", "counter",
+     "live append_rows updates applied cluster-wide"),
+    ("hedge_fired", "repro_cluster_hedge_fired_total", "counter",
+     "hedged backup requests issued"),
+    ("hedge_won", "repro_cluster_hedge_won_total", "counter",
+     "hedged backup requests answered first"),
+)
+
+
+def _render_workers_block(out: _Renderer, block: Mapping[str, Any]) -> None:
+    """A worker tier: the keys cluster's front tier or a row-shard pool."""
+    out.header("repro_cluster_workers", "gauge", "configured cluster workers")
+    out.sample("repro_cluster_workers", {}, block.get("n_workers", 0))
+    for field, metric, kind, help_text in _WORKER_TIER_FIELDS:
+        if field in block:
+            out.header(metric, kind, help_text)
+            out.sample(metric, {}, block[field])
+
+
 def _render_jobs_block(out: _Renderer, jobs: Mapping[str, Any]) -> None:
     """The durable job subsystem: lifecycle counters and rows by state."""
     for field in ("submitted", "completed", "failed", "cancelled", "resumed",
@@ -483,7 +510,8 @@ def prometheus_text(stats: Mapping[str, Any]) -> str:
     Works on both snapshot shapes — a single service's and a cluster's
     merged one — because the cluster mirrors the service's keys
     (``contexts``, ``cache``, ``negative_cache``, ``metrics``) and adds
-    its own ``cluster`` block.
+    its own ``cluster`` block; a service over row shards adds a
+    ``data_plane`` block, rendered with the same worker-tier families.
     """
     out = _Renderer()
 
@@ -519,39 +547,11 @@ def prometheus_text(stats: Mapping[str, Any]) -> str:
                            f"micro-batcher {field} since start")
                 out.sample(metric, {"dataset": dataset}, batcher[field])
 
-    cluster = stats.get("cluster")
-    if isinstance(cluster, Mapping):
-        out.header("repro_cluster_workers", "gauge",
-                   "configured cluster workers")
-        out.sample("repro_cluster_workers", {}, cluster.get("n_workers", 0))
-        if "workers_alive" in cluster:
-            out.header("repro_cluster_workers_alive", "gauge",
-                       "workers that answered the last stats probe")
-            out.sample("repro_cluster_workers_alive", {},
-                       cluster.get("workers_alive", 0))
-        if "restarts" in cluster:
-            out.header("repro_cluster_worker_restarts_total", "counter",
-                       "dead workers restarted since start")
-            out.sample("repro_cluster_worker_restarts_total", {},
-                       cluster.get("restarts", 0))
-        if "requests_routed" in cluster:
-            out.header("repro_cluster_requests_routed_total", "counter",
-                       "requests dispatched to workers")
-            out.sample("repro_cluster_requests_routed_total", {},
-                       cluster.get("requests_routed", 0))
-        if "dataset_updates" in cluster:
-            out.header("repro_cluster_dataset_updates_total", "counter",
-                       "live append_rows updates applied cluster-wide")
-            out.sample("repro_cluster_dataset_updates_total", {},
-                       cluster.get("dataset_updates", 0))
-        for field in ("hedge_fired", "hedge_won"):
-            if field in cluster:
-                metric = f"repro_cluster_{field}_total"
-                out.header(metric, "counter",
-                           "hedged backup requests "
-                           + ("issued" if field == "hedge_fired"
-                              else "answered first"))
-                out.sample(metric, {}, cluster.get(field, 0))
+    # A replica cluster's front tier and a service's row-shard data plane
+    # are both worker tiers: one set of metric families covers them.
+    for block in (stats.get("cluster"), stats.get("data_plane")):
+        if isinstance(block, Mapping):
+            _render_workers_block(out, block)
 
     jobs = stats.get("jobs")
     if isinstance(jobs, Mapping):

@@ -16,8 +16,9 @@ continuously:
   :class:`~repro.engine.context.PipelineContext` per registered dataset, a
   canonical-query-key explanation cache (bounded LRU + optional TTL) that
   serves byte-identical envelopes on repeats, per-dataset request
-  coalescing, a background warmer replaying recorded top-K traffic, and
-  dataset-versioned keys for coherent invalidation;
+  coalescing, a background warmer replaying recorded top-K traffic,
+  dataset-versioned keys for coherent invalidation and, with a
+  ``shard_pool``, counts scatter-gathered over row-shard workers;
 * :class:`ServiceCluster` (:mod:`repro.serving.cluster`) — N spawn-safe
   worker processes; requests route by the stable hash of their canonical
   query key, so each worker's explanation/frame/fit caches stay hot for

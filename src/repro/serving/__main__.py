@@ -12,10 +12,11 @@ The ``--workers`` flag picks the topology behind the *same* HTTP handler:
   requests shard by the stable hash of their canonical query key, so each
   worker's caches stay hot for its key range and throughput scales past
   one GIL.
-* ``--workers N --shard rows`` — the same cluster front end, but workers
-  shard the *data* instead of the requests: each holds one contiguous row
-  range and answers partial-count / partial-IRLS jobs, so the cluster can
-  serve tables no single worker could hold in memory.
+* ``--workers N --shard rows`` — one in-process service again, whose
+  engine counts through a :class:`~repro.distributed.coordinator.ShardPool`
+  of N workers that shard the *data* instead of the requests: each holds
+  one contiguous row range and answers partial-count / partial-IRLS jobs,
+  so the service can serve tables no single worker could hold in memory.
 
 ::
 
@@ -39,6 +40,7 @@ import logging
 import sys
 
 from repro.datasets.registry import DATASET_NAMES, load_dataset
+from repro.distributed.coordinator import ShardPool
 from repro.engine.config import MESAConfig
 from repro.obs.logs import JsonLogFormatter
 from repro.serving.client import LocalClient
@@ -121,8 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ttl", type=float, default=None,
                         help="Optional TTL (seconds) for cached explanations")
     parser.add_argument("--coalesce-window", type=float, default=0.005,
-                        help="Micro-batching window in seconds "
-                             "(single-process mode)")
+                        help="Micro-batching window in seconds of the "
+                             "in-process service (replica workers batch "
+                             "without a window)")
     parser.add_argument("--n-jobs", type=int, default=1,
                         help="Engine workers per coalesced batch (-1 = all CPUs)")
     parser.add_argument("--log-level", choices=_LOG_LEVELS, default="info",
@@ -150,11 +153,18 @@ def main(argv=None) -> None:
         excluded_columns=tuple(bundle.id_columns), n_jobs=args.n_jobs)
         for bundle in bundles}
 
-    if args.workers == 1:
+    if args.workers == 1 or args.shard == "rows":
+        shard_pool = None
+        if args.workers > 1:
+            log.info("starting %d row-shard worker processes",
+                     args.workers)
+            shard_pool = ShardPool(n_shards=args.workers,
+                                   start_method=args.start_method,
+                                   frame_store=args.frame_store != "off")
         service = ExplanationService(
             cache_size=args.cache_size, ttl_seconds=args.ttl,
             coalesce_window_seconds=args.coalesce_window,
-            store=args.store)
+            store=args.store, shard_pool=shard_pool)
         for bundle in bundles:
             log.info("registering %s (%d rows) and warming the cross-query "
                      "caches", bundle.name, bundle.table.n_rows)
@@ -167,15 +177,14 @@ def main(argv=None) -> None:
             args.frame_store]
         cluster = ServiceCluster(
             n_workers=args.workers, start_method=args.start_method,
-            shard=args.shard, frame_store=frame_store,
-            store_path=args.store, hedge_requests=args.hedge,
+            frame_store=frame_store, store_path=args.store,
+            hedge_requests=args.hedge,
             service_kwargs={"cache_size": args.cache_size,
                             "ttl_seconds": args.ttl})
         for bundle in bundles:
             cluster.register_bundle(bundle, config=configs[bundle.name])
-        topology = ("row-shard" if args.shard == "rows" else "replica")
-        log.info("starting %d %s worker processes (%s) for %s",
-                 args.workers, topology, cluster.start_method,
+        log.info("starting %d replica worker processes (%s) for %s",
+                 args.workers, cluster.start_method,
                  [bundle.name for bundle in bundles])
         client = ClusterClient(cluster)
     slow = args.slow_query_seconds if args.slow_query_seconds > 0 else None

@@ -43,15 +43,13 @@ own services); ``spawn`` is fully supported and exercised by the tests.
 front end (and any other consumer) serves a cluster with the same code
 that serves one process.
 
-Two sharding axes.  ``shard="keys"`` (everything above) splits the *query
-key space* across full replicas — N times the cache capacity, each worker
-a complete copy of the data.  ``shard="rows"`` splits the *rows*: one
-engine in the parent process drives N data-plane workers, each resident
-with only its row slice (:class:`~repro.distributed.coordinator.ShardPool`
-and the partial-counts contract in :mod:`repro.infotheory.kernel`), which
-serves tables no single worker could hold.  The two modes share this one
-front-tier class, the pipe transport in :mod:`repro.distributed.ipc`, and
-the client surface.
+A cluster splits the *query key space* across full replicas — N times
+the cache capacity, each worker a complete copy of the data.  Splitting
+the *rows* instead is not a cluster: it is one
+:class:`~repro.serving.service.ExplanationService` constructed with a
+``shard_pool`` (:class:`~repro.distributed.coordinator.ShardPool`), whose
+N data-plane workers each hold only a row slice — which serves tables no
+single worker could hold, behind the same client surface.
 """
 
 from __future__ import annotations
@@ -88,6 +86,15 @@ from repro.serving.service import ExplanationService, ServedExplanation
 from repro.storage import MetaStore
 from repro.table.expressions import stable_key_digest
 from repro.table.table import Table
+
+#: Distinct routing keys the front tier remembers per dataset (the hot set
+#: a restarted worker re-warms from).
+HISTORY_SIZE = 1024
+#: Floor of the hedge delay: never hedge faster than this many seconds.
+HEDGE_MIN_SECONDS = 0.05
+#: The hedge delay is ``max(HEDGE_MIN_SECONDS, HEDGE_P99_MULTIPLIER * p99)``
+#: over a sliding window of recent explain latencies.
+HEDGE_P99_MULTIPLIER = 1.5
 
 
 @dataclass(frozen=True)
@@ -164,10 +171,10 @@ def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
             return blob, [(one.cache_hit, one.coalesced) for one in served]
         if op == "stats":
             snapshot = service.stats()
-            # Every keys-mode worker is a full replica: it holds a copy of
-            # each registered table — or, with the frame store, read-only
-            # views over it — so its resident row count is the sum over
-            # specs (contrast the row-shard workers, which report
+            # Every worker is a full replica: it holds a copy of each
+            # registered table — or, with the frame store, read-only views
+            # over it — so its resident row count is the sum over specs
+            # (contrast the row shards of a service's pool, which report
             # O(rows / N) slices).
             snapshot["role"] = "replica"
             snapshot["resident_rows"] = sum(spec.n_rows for spec in specs)
@@ -309,15 +316,6 @@ class ServiceCluster:
         After a worker restart, how many of the front tier's recorded
         top-K historical queries for that worker's key range to replay
         (in the background) to re-warm its caches; 0 disables.
-    shard:
-        ``"keys"`` (default) — N full-replica workers, requests routed by
-        canonical query key; each worker holds a complete dataset copy.
-        ``"rows"`` — ONE engine (in this process) over N *row-shard*
-        workers: each worker holds only its contiguous ``O(rows / N)`` row
-        slice of the encoded columns, and every count under every estimate
-        scatter-gathers across them (see :mod:`repro.distributed`).  Rows
-        mode is how a table no single worker could hold gets served; keys
-        mode is how a hot key space gets cache capacity.
     frame_store:
         Share the dataset (and ``warm()``-encoded hot-context frames)
         across workers through ``multiprocessing.shared_memory``
@@ -339,17 +337,12 @@ class ServiceCluster:
         disk instead of recomputing.  ``None`` (default) disables
         durability.
     hedge_requests:
-        Keys mode only: fire a backup ``explain`` to the next replica
-        when the primary worker has not answered within a p99-derived
-        hedge delay; first response wins.  Tames tail latency when one
-        worker is busy with a cold query.  (Keys-mode replicas can all
-        answer any key — the backup just pays a cache miss at worst.)
-    hedge_min_seconds:
-        Floor of the hedge delay — never hedge faster than this.
-    hedge_p99_multiplier:
-        The hedge delay is ``max(hedge_min_seconds, multiplier * p99)``
-        over a sliding window of recent explain latencies; hedging stays
-        dormant until enough samples (20) accumulate.
+        Fire a backup ``explain`` to the next replica when the primary
+        worker has not answered within a p99-derived hedge delay (see
+        :data:`HEDGE_P99_MULTIPLIER`); first response wins.  Tames tail
+        latency when one worker is busy with a cold query.  (Replicas can
+        all answer any key — the backup just pays a cache miss at worst.)
+        Hedging stays dormant until enough samples (20) accumulate.
     """
 
     def __init__(self, n_workers: int = 2,
@@ -357,24 +350,13 @@ class ServiceCluster:
                  start_method: Optional[str] = None,
                  request_timeout: float = 600.0,
                  restart_warm_top: int = 8,
-                 history_size: int = 1024,
-                 shard: str = "keys",
                  frame_store: Optional[bool] = None,
                  store_path: Optional[Union[str, Path]] = None,
-                 hedge_requests: bool = False,
-                 hedge_min_seconds: float = 0.05,
-                 hedge_p99_multiplier: float = 1.5):
+                 hedge_requests: bool = False):
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if shard not in ("keys", "rows"):
-            raise ConfigurationError(
-                f"shard must be 'keys' or 'rows', got {shard!r}")
         self.start_method = ipc.resolve_start_method(start_method)
         self.n_workers = n_workers
-        self.shard = shard
-        #: Rows mode only: the parent-process service and its shard pool.
-        self._service: Optional[ExplanationService] = None
-        self._pool = None
         from repro.shm import shm_available
 
         if frame_store is None:
@@ -386,21 +368,20 @@ class ServiceCluster:
         self.frame_store_enabled = bool(frame_store) and shm_available()
         #: Owner-side segment registry (lazily built at start).
         self._store = None
-        #: Keys mode: the per-dataset table manifests shipped to workers.
+        #: The per-dataset table manifests shipped to workers.
         self._table_manifests: Dict[str, Any] = {}
-        #: Keys mode: published hot-context frame manifests, keyed by
+        #: Published hot-context frame manifests, keyed by
         #: ``(dataset, frame key)``; re-broadcast to restarted workers.
         self._frame_manifests: Dict[Tuple[str, Tuple], Any] = {}
         #: Epoch component of frame generations: bumped by
         #: :meth:`clear_cache`, so a retired generation still draining its
         #: readers never collides with freshly published frames.
         self._frame_epoch = 0
-        #: Keys mode: parent-side reference contexts used to encode hot
-        #: frames exactly once per box (one per dataset, built lazily).
+        #: Parent-side reference contexts used to encode hot frames
+        #: exactly once per box (one per dataset, built lazily).
         self._ref_contexts: Dict[str, Any] = {}
         self.request_timeout = request_timeout
         self.restart_warm_top = restart_warm_top
-        self.history_size = history_size
         self.store_path = str(store_path) if store_path is not None else None
         #: Front-tier metastore handle (jobs + crash-recovery epoch); the
         #: workers open the same file themselves via ``service_kwargs``.
@@ -408,18 +389,16 @@ class ServiceCluster:
         #: The cluster's :class:`~repro.jobs.JobManager` (built at start
         #: when ``store_path`` is set).
         self.jobs = None
-        self.hedge_requests = hedge_requests and shard == "keys"
-        self.hedge_min_seconds = hedge_min_seconds
-        self.hedge_p99_multiplier = hedge_p99_multiplier
-        #: Sliding window of recent keys-mode explain dispatch latencies,
-        #: feeding the p99-derived hedge delay.
+        self.hedge_requests = hedge_requests
+        #: Sliding window of recent explain dispatch latencies, feeding
+        #: the p99-derived hedge delay.
         self._latencies: "deque[float]" = deque(maxlen=512)
         self._hedge_pool: Optional[ThreadPoolExecutor] = None
         self.hedge_fired = 0
         self.hedge_won = 0
-        #: Keys mode: the live shm generation of each dataset's published
-        #: table — starts at ``("table", name)``, appends mint successors
-        #: so the retired generation can drain readers without colliding.
+        #: The live shm generation of each dataset's published table —
+        #: starts at ``("table", name)``, appends mint successors so the
+        #: retired generation can drain readers without colliding.
         self._table_generations: Dict[str, Tuple] = {}
         self._table_epoch = 0
         self.service_kwargs = dict({"coalesce_window_seconds": 0.0},
@@ -471,16 +450,12 @@ class ServiceCluster:
         self._specs.append(spec)
         self._history.setdefault(name, {})
         if self._started:
-            if self._service is not None:
-                self._register_rows(spec)
-            else:
-                payload = self._worker_spec(spec) if self._store is not None \
-                    else spec
-                for handle in self._handles:
-                    self._dispatch(handle.index, "register", payload)
-                    if self._store is not None:
-                        self._store.attach_reader(
-                            self._table_generation(name), handle.index)
+            payload = self._worker_spec(spec)
+            for handle in self._handles:
+                self._dispatch(handle.index, "register", payload)
+                if self._store is not None:
+                    self._store.attach_reader(
+                        self._table_generation(name), handle.index)
         return spec
 
     def _table_generation(self, name: str) -> Tuple:
@@ -520,28 +495,6 @@ class ServiceCluster:
             # and this handle's owner epoch is the one stale RUNNING jobs
             # are recovered against.
             self._meta = MetaStore(self.store_path)
-        if self.shard == "rows":
-            from repro.distributed.coordinator import ShardPool
-
-            # Rows mode inverts the topology: ONE service in this process
-            # owns the engine control plane (caches, batcher, search), and
-            # the N workers are row shards of the data plane — each holds
-            # O(rows / N) column slices and answers partial-count, permuted
-            # -count and IRLS-partial requests; the engine's intra-batch
-            # fan-out runs on threads, which share the pool's pipes.  With
-            # the frame store the pool publishes each context column once
-            # and ships O(1) refs; shards attach their row-range as views.
-            self._service = ExplanationService(**self.service_kwargs)
-            self._pool = ShardPool(n_shards=self.n_workers,
-                                   start_method=self.start_method,
-                                   request_timeout=self.request_timeout,
-                                   frame_store=self._store)
-            self._pool.start()
-            for spec in self._specs:
-                self._register_rows(spec)
-            self._started = True
-            self._start_jobs()
-            return self
         self._handles = [self._spawn_worker(index)
                          for index in range(self.n_workers)]
         for handle in self._handles:
@@ -557,21 +510,6 @@ class ServiceCluster:
         from repro.jobs import JobManager  # deferred: avoids an import cycle
 
         self.jobs = JobManager(self._meta, self)
-
-    def _register_rows(self, spec: DatasetSpec) -> None:
-        """Register one dataset on the rows-mode service + data plane.
-
-        The pool attaches to the pipeline context *before* any warm-up
-        query runs, so even the very first explanation scatter-gathers.
-        """
-        pipeline = self._service.register_dataset(
-            spec.name, spec.table, spec.knowledge_graph,
-            spec.extraction_specs, config=spec.config or MESAConfig(),
-            warm=False)
-        pipeline.context.shard_pool = self._pool
-        pipeline.context.shard_label = spec.name
-        if spec.warm:
-            self._service.warm(spec.name)
 
     def _worker_spec(self, spec: DatasetSpec) -> DatasetSpec:
         """The spec a worker receives: manifest-backed when the store is on."""
@@ -618,10 +556,6 @@ class ServiceCluster:
             # Checkpoint first: an in-flight RUNNING job flips back to
             # PENDING so a restart against the same store resumes it.
             self.jobs.close(checkpoint=True)
-        if self._service is not None:
-            self._service.close()
-        if self._pool is not None:
-            self._pool.close()
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False)
         ipc.shutdown(handles)
@@ -683,12 +617,6 @@ class ServiceCluster:
                 k: Optional[int] = None) -> ServedExplanation:
         """Serve one explanation from the key's worker (deduped in flight)."""
         self._ensure_serving()
-        if self._service is not None:
-            # Rows mode: the parent-process service owns dedup, caching and
-            # coalescing; the data plane underneath it is already sharded.
-            with self._lock:
-                self.requests_routed += 1
-            return self._service.explain(dataset, query, k=k)
         k = self._resolve_k(dataset, k)
         key = self.routing_key(dataset, query, k)
         with self._lock:
@@ -741,8 +669,7 @@ class ServiceCluster:
                 return None
             ordered = sorted(self._latencies)
         p99 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-        return max(self.hedge_min_seconds,
-                   self.hedge_p99_multiplier * p99)
+        return max(HEDGE_MIN_SECONDS, HEDGE_P99_MULTIPLIER * p99)
 
     def _dispatch_explain(self, index: int, dataset: str,
                           query: AggregateQuery, k: Optional[int]):
@@ -750,8 +677,8 @@ class ServiceCluster:
 
         The primary runs on the key's own worker; if it has not answered
         within the p99-derived delay a single backup fires at the *next*
-        worker (replicas hold full dataset copies in keys mode, so any
-        worker can answer — but each worker's pipe is serialised, so the
+        worker (replicas hold full dataset copies, so any worker can
+        answer — but each worker's pipe is serialised, so the
         backup must not queue behind the very straggler it is hedging).
         First response wins; the loser is left to finish on its pipe and
         its result is discarded.  Both failing re-raises the primary's
@@ -799,10 +726,6 @@ class ServiceCluster:
                       k: Optional[int] = None) -> List[ServedExplanation]:
         """Serve a batch: shard, dedupe, fan sub-batches out, reassemble."""
         self._ensure_serving()
-        if self._service is not None:
-            with self._lock:
-                self.requests_routed += len(queries)
-            return self._service.explain_batch(dataset, queries, k=k)
         k = self._resolve_k(dataset, k)
         keys: List[Tuple] = []
         owned: Dict[Tuple, Future] = {}
@@ -877,47 +800,12 @@ class ServiceCluster:
     def stats(self) -> Dict[str, Any]:
         """Merged observability: summed counters + per-worker breakdown.
 
-        Every worker entry carries its ``role`` — ``"replica"`` (keys mode:
-        a full service over a complete dataset copy) or ``"row-shard"``
-        (rows mode: a data-plane worker holding ``O(rows / N)`` column
-        slices) — and its resident row count, so capacity planning can read
-        the memory topology straight off ``/stats``.
+        Every worker entry carries its ``role`` (``"replica"``: a full
+        service over a complete dataset copy) and its resident row count,
+        so capacity planning can read the memory topology straight off
+        ``/stats``.
         """
         self._ensure_serving()
-        if self._service is not None:
-            snapshot = self._service.stats()
-            pool_stats = self._pool.stats()
-            with self._lock:
-                front = {
-                    "n_workers": self.n_workers,
-                    "start_method": self.start_method,
-                    "shard": "rows",
-                    "workers_alive": self._pool.alive_workers(),
-                    "requests_routed": self.requests_routed,
-                    "dataset_updates": self.dataset_updates,
-                    "worker_restarts": pool_stats["pool"]["worker_restarts"],
-                    "request_retries": pool_stats["pool"]["request_retries"],
-                    "data_plane": pool_stats["pool"],
-                }
-            merged = {
-                "mode": "cluster",
-                "shard": "rows",
-                "datasets": sorted(spec.name for spec in self._specs),
-                "cluster": front,
-                "cache": snapshot["cache"],
-                "negative_cache": snapshot["negative_cache"],
-                "contexts": snapshot["contexts"],
-                "metrics": snapshot.get("metrics", []),
-                "tracing": snapshot.get("tracing", {}),
-                "frame_store": self._frame_store_stats(),
-                "workers": pool_stats["workers"],
-            }
-            if "envelope_store" in snapshot:
-                merged["envelope_store"] = snapshot["envelope_store"]
-            if self.jobs is not None:
-                merged["jobs"] = self.jobs.stats()
-            return merged
-
         workers = ipc.probe_stats(self._handles, self.request_timeout, {})
         # Seed the merge from the retained base of dead workers' counters:
         # a restarted worker reports zeroed tallies, and without the base
@@ -994,8 +882,6 @@ class ServiceCluster:
         re-factorising the same columns in every process.
         """
         self._ensure_serving()
-        if self._service is not None:
-            return self._service.warm(dataset, queries=queries, top=top)
         if self._store is not None:
             self._publish_hot_frames(dataset, queries)
         resolved_k = self._resolve_k(dataset, None)
@@ -1096,13 +982,6 @@ class ServiceCluster:
         with empty caches, which *is* the invalidated state.
         """
         self._ensure_serving()
-        if self._service is not None:
-            # The version bump ages the shard contexts out of the pool's
-            # LRU on its own; dropping them now frees worker memory
-            # immediately instead of at eviction time.
-            self._service.clear_cache()
-            self._pool.drop_all_contexts()
-            return
         for handle in self._handles:
             self._dispatch(handle.index, "clear_cache", None)
         if self._store is not None:
@@ -1163,15 +1042,12 @@ class ServiceCluster:
                     rewarm: bool = True, top: int = 8) -> Dict[str, Any]:
         """Append rows to a served dataset, invalidating coherently.
 
-        Rows mode: the parent-process service swaps its pipeline and the
-        shard pool re-partitions on first touch (the version bump ages the
-        old shard contexts out; dropping them now frees worker memory
-        immediately).  Keys mode with the frame store: the owner publishes
-        the merged table as a *new* shm generation, workers re-attach
-        zero-copy, and the old generation (plus every published hot-frame
-        generation — their encodings cover the old rows) drains to the
-        unlink.  Keys copy mode: every replica rebuilds the identical
-        merged table from the broadcast rows.
+        With the frame store the owner publishes the merged table as a
+        *new* shm generation, workers re-attach zero-copy, and the old
+        generation (plus every published hot-frame generation — their
+        encodings cover the old rows) drains to the unlink.  On the copy
+        path every replica rebuilds the identical merged table from the
+        broadcast rows.
 
         Afterwards the dataset's top recorded queries re-warm in the
         background — as a durable job when the cluster has a store
@@ -1187,12 +1063,7 @@ class ServiceCluster:
             raise DatasetNotRegisteredError(
                 f"dataset {dataset!r} is not registered")
         spec = self._specs[position]
-        if self._service is not None:
-            result = self._service.append_rows(dataset, rows, rewarm=False)
-            self._pool.drop_all_contexts()
-            self._specs[position] = replace(
-                spec, table=self._service.pipeline(dataset).context.table)
-        elif self._store is not None:
+        if self._store is not None:
             merged = self._merged_table(spec, rows)
             with self._lock:
                 self._table_epoch += 1
@@ -1219,7 +1090,6 @@ class ServiceCluster:
             for handle in self._handles:
                 self._store.detach_reader(old_generation, handle.index)
             self._store.retire(old_generation)
-            result = dict(result or {})
         else:
             result = None
             for handle in self._handles:
@@ -1228,10 +1098,9 @@ class ServiceCluster:
                 result = result or outcome
             self._specs[position] = replace(
                 spec, table=self._merged_table(spec, rows))
-            result = dict(result or {})
         with self._lock:
             self.dataset_updates += 1
-        result = dict(result)
+        result = dict(result or {})
         result["appended"] = len(rows)
         rewarm_job = None
         if rewarm:
@@ -1257,22 +1126,6 @@ class ServiceCluster:
         with self._lock:
             handles = list(self._handles)
             closed = self._closed
-        if self._pool is not None:
-            alive = 0 if closed else self._pool.alive_workers()
-            if closed or not self._started:
-                status = "down"
-            elif alive == self.n_workers:
-                status = "ok"
-            else:
-                status = "degraded"
-            return {
-                "status": status,
-                "datasets": sorted(spec.name for spec in self._specs),
-                "mode": "cluster",
-                "shard": "rows",
-                "workers_alive": alive,
-                "n_workers": self.n_workers,
-            }
         worker_health = {
             str(handle.index): {"alive": handle.alive(),
                                 "restarts": handle.restarts}
@@ -1382,7 +1235,7 @@ class ServiceCluster:
         history = self._history.setdefault(dataset, {})
         entry = history.get(key)
         if entry is None:
-            if len(history) >= self.history_size:
+            if len(history) >= HISTORY_SIZE:
                 return  # full: keep the established hot set
             history[key] = [query, k, 1]
         else:

@@ -13,10 +13,11 @@ service: hand :func:`make_server` an in-process
 :class:`~repro.serving.cluster.ClusterClient` over N worker processes and
 the same handler code serves every topology —
 ``python -m repro.serving --workers N`` is exactly that switch.  The
-cluster itself shards on either axis (``--shard keys`` replicates data and
-routes requests; ``--shard rows`` splits each table into row ranges and
-scatter-gathers partial counts), and the HTTP surface is identical in all
-modes — only ``GET /stats`` reveals the topology.
+cluster replicates the data and routes requests by query key; ``--shard
+rows`` instead serves one in-process service whose engine splits each
+table into row ranges and scatter-gathers partial counts over a shard
+pool.  The HTTP surface is identical in all modes — only ``GET /stats``
+reveals the topology.
 
 Endpoints
 ---------

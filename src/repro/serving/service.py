@@ -47,6 +47,7 @@ from typing import (
     Union,
 )
 
+from repro.distributed.coordinator import ShardPool
 from repro.engine.config import MESAConfig
 from repro.engine.envelope import ExplanationEnvelope
 from repro.engine.pipeline import ExplanationPipeline
@@ -67,6 +68,15 @@ from repro.serving.schema import ExplainRequest, query_payload
 from repro.storage import DurableEnvelopeStore, MetaStore
 from repro.table.expressions import canonical_predicate_key
 from repro.table.table import Table
+
+#: Flush a coalesced batch early once this many distinct requests pend.
+MAX_BATCH = 64
+#: Bound on the negative cache of client-input error verdicts (shares the
+#: service TTL).
+NEGATIVE_CACHE_SIZE = 256
+#: Distinct historical queries remembered per dataset for the
+#: :meth:`ExplanationService.warm` replay of top-K traffic.
+HISTORY_SIZE = 256
 
 
 def _maxrss_kb() -> int:
@@ -101,6 +111,23 @@ class ServedExplanation:
 class ExplanationService:
     """Serve explanations for registered datasets from warm caches.
 
+    Pipelines built by :meth:`register_dataset` / :meth:`register_bundle`
+    get two serving-path defaults the engine leaves off.  The sequential
+    permutation early exit: an audit of the p-value consumers
+    (recoverability and the responsibility stopping criterion read only
+    the boolean ``independent`` verdict, which the exit provably never
+    flips; nothing gates on p-value resolution) makes it safe for served
+    traffic, while offline analyses may care about exact permutation
+    counts.  And the pipelined MCIMR search (:mod:`repro.core.speculate`):
+    round ``i + 1``'s candidate scoring overlaps round ``i``'s
+    responsibility test on a speculation thread, bit-identical to the
+    sequential schedule; ``/stats`` surfaces ``speculation_hit`` /
+    ``speculation_waste``.  Pre-built pipelines handed to :meth:`register`
+    are never rewritten.  Adaptive permutation budgets
+    (``max_responsibility_permutations``) stay caller-opt-in — they can
+    revise statistically uncertain verdicts, a policy decision the
+    service does not make silently.
+
     Parameters
     ----------
     cache_size:
@@ -113,38 +140,6 @@ class ExplanationService:
         How long the per-dataset batcher waits for concurrent requests to
         coalesce before flushing a batch.  ``0`` disables the wait but
         still batches requests that arrive while a batch is executing.
-    max_batch:
-        Flush a batch early once this many distinct requests are pending.
-    negative_cache_size:
-        Bound on the negative cache of client-input error verdicts
-        (``QueryError`` / ``ExplanationError``); repeats of a cached bad
-        query raise immediately without reaching the engine.  Shares the
-        service TTL.
-    permutation_early_exit:
-        The *serving-path* default for the sequential permutation early
-        exit.  An audit of the p-value consumers (recoverability and the
-        responsibility stopping criterion read only the boolean
-        ``independent`` verdict, which the early exit provably never
-        flips; nothing gates on p-value resolution) makes the exit safe to
-        enable for served traffic, so pipelines built by
-        :meth:`register_dataset` / :meth:`register_bundle` get it switched
-        on unless the caller opts out here.  The engine default stays off —
-        offline analyses may care about exact permutation counts — and
-        pre-built pipelines handed to :meth:`register` are never rewritten.
-    speculative_search:
-        The serving-path default for the pipelined MCIMR search
-        (:mod:`repro.core.speculate`): round ``i + 1``'s candidate scoring
-        overlaps round ``i``'s responsibility test on a speculation
-        thread.  Explanations are bit-identical to the sequential
-        schedule, so served pipelines get it switched on by the same rule
-        as the early exit; ``/stats`` surfaces ``speculation_hit`` /
-        ``speculation_waste``.  Adaptive permutation budgets
-        (``max_responsibility_permutations``) stay caller-opt-in — they
-        can revise statistically uncertain verdicts, a policy decision the
-        service does not make silently.
-    history_size:
-        How many distinct historical queries to remember per dataset (for
-        the :meth:`warm` replay of top-K traffic).
     clock:
         Monotonic time source shared by the cache and batchers
         (injectable for TTL/window tests).
@@ -176,22 +171,27 @@ class ExplanationService:
         durably so a *restarted* service re-warms its top-K traffic from
         disk instead of recomputing, and dataset versions persist so the
         restarted process mints cache keys matching what it stored.
+    shard_pool:
+        A :class:`~repro.distributed.coordinator.ShardPool` to count
+        through: the row-sharded topology, for tables no single process
+        should hold.  The service starts the pool, attaches it to every
+        pipeline it registers (before the pipeline is served, so even the
+        first explanation scatter-gathers), frees the pool's shard contexts
+        whenever it invalidates, reports the data plane in :meth:`stats`
+        and :meth:`health`, and closes the pool on :meth:`close`.
+        ``None`` (default) counts in this process.
     """
 
     def __init__(self, cache_size: int = 1024,
                  ttl_seconds: Optional[float] = None,
                  coalesce_window_seconds: float = 0.005,
-                 max_batch: int = 64,
-                 negative_cache_size: int = 256,
-                 permutation_early_exit: bool = True,
-                 speculative_search: bool = True,
-                 history_size: int = 256,
                  clock: Callable[[], float] = time.monotonic,
                  tracer: Optional[trace.Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  trace_requests: bool = True,
                  slow_query_seconds: Optional[float] = 1.0,
-                 store: Optional[Union[MetaStore, str, Path]] = None):
+                 store: Optional[Union[MetaStore, str, Path]] = None,
+                 shard_pool: Optional[ShardPool] = None):
         self._clock = clock
         self.tracer = tracer if tracer is not None else trace.Tracer(
             tier="service")
@@ -200,13 +200,10 @@ class ExplanationService:
         self.slow_query_seconds = slow_query_seconds
         self._cache = TTLCache(max_entries=cache_size, ttl_seconds=ttl_seconds,
                                clock=clock)
-        self._negative = TTLCache(max_entries=negative_cache_size,
+        self._negative = TTLCache(max_entries=NEGATIVE_CACHE_SIZE,
                                   ttl_seconds=ttl_seconds, clock=clock)
         self.coalesce_window_seconds = coalesce_window_seconds
-        self.max_batch = max_batch
-        self.permutation_early_exit = permutation_early_exit
-        self.speculative_search = speculative_search
-        self.history_size = history_size
+        self.shard_pool = shard_pool
         self._pipelines: Dict[str, ExplanationPipeline] = {}
         self._batchers: Dict[str, MicroBatcher] = {}
         #: Per-dataset request history: canonical key -> [query, k, hits],
@@ -230,6 +227,8 @@ class ExplanationService:
         #: The attached :class:`~repro.jobs.JobManager` (see
         #: :meth:`enable_jobs`); ``None`` until enabled.
         self.jobs = None
+        if shard_pool is not None:
+            shard_pool.start()
 
     @property
     def meta(self) -> Optional[MetaStore]:
@@ -273,12 +272,17 @@ class ExplanationService:
                 raise ConfigurationError("ExplanationService is closed")
             if name in self._pipelines:
                 raise ConfigurationError(f"dataset {name!r} is already registered")
+            if self.shard_pool is not None:
+                # Attach before the pipeline becomes visible, so no request
+                # can run on the local counts source.
+                pipeline.context.shard_pool = self.shard_pool
+                pipeline.context.shard_label = name
             self._pipelines[name] = pipeline
             self._history.setdefault(name, OrderedDict())
             self._batchers[name] = MicroBatcher(
                 runner=self._runner_for(pipeline),
                 window_seconds=self.coalesce_window_seconds,
-                max_batch=self.max_batch, clock=self._clock)
+                max_batch=MAX_BATCH, clock=self._clock)
         # Re-registration of a context that served before (its version
         # moved past the initial 0) bumps the version, so canonical keys
         # minted against the earlier registration can never answer
@@ -308,15 +312,14 @@ class ExplanationService:
                          warm: bool = True) -> ExplanationPipeline:
         """Build and register a pipeline from dataset parts.
 
-        The pipeline configuration gets the serving-path defaults applied
-        (currently ``permutation_early_exit`` and ``speculative_search``,
-        see the class docstring).
+        The pipeline configuration gets the serving-path defaults applied:
+        ``permutation_early_exit`` and ``speculative_search`` are switched
+        on (see the class docstring).  A caller who wants the engine
+        defaults registers a pre-built pipeline with :meth:`register`,
+        which never rewrites its configuration.
         """
-        config = config or MESAConfig()
-        if self.permutation_early_exit and not config.permutation_early_exit:
-            config = config.with_overrides(permutation_early_exit=True)
-        if self.speculative_search and not config.speculative_search:
-            config = config.with_overrides(speculative_search=True)
+        config = (config or MESAConfig()).with_overrides(
+            permutation_early_exit=True, speculative_search=True)
         pipeline = ExplanationPipeline(table, knowledge_graph, extraction_specs,
                                        config=config)
         return self.register(name, pipeline, warm=warm)
@@ -441,7 +444,7 @@ class ExplanationService:
             else:
                 entry[2] += 1
                 history.move_to_end(key)
-            while len(history) > self.history_size:
+            while len(history) > HISTORY_SIZE:
                 history.popitem(last=False)
         if self._envelopes is not None:
             # Durable history is keyed without the version component
@@ -504,9 +507,8 @@ class ExplanationService:
                                        old.context.extraction_specs,
                                        config=old.config)
         pipeline.context.dataset_version = version
-        # Rows-mode serving: the new context keeps feeding the shard pool;
-        # the version bump makes it register fresh shard contexts (old
-        # ones are the cluster owner's to drop).
+        # The new context keeps feeding the shard pool (if any); the
+        # version bump makes it register fresh shard contexts.
         pipeline.context.shard_pool = old.context.shard_pool
         pipeline.context.shard_label = old.context.shard_label
         with self._lock:
@@ -517,9 +519,12 @@ class ExplanationService:
             self._batchers[name] = MicroBatcher(
                 runner=self._runner_for(pipeline),
                 window_seconds=self.coalesce_window_seconds,
-                max_batch=self.max_batch, clock=self._clock)
+                max_batch=MAX_BATCH, clock=self._clock)
         if old_batcher is not None:
             old_batcher.close()
+        if self.shard_pool is not None:
+            # Free the old version's shard contexts now, not at eviction.
+            self.shard_pool.drop_all_contexts()
         pipeline.context.count("service.dataset_updates")
         if self._meta is not None:
             self._meta.record_dataset_version(name, version)
@@ -830,14 +835,36 @@ class ExplanationService:
             snapshot["envelope_store"] = self._envelopes.stats()
         if self.jobs is not None:
             snapshot["jobs"] = self.jobs.stats()
+        if self.shard_pool is not None:
+            # The data plane: pool counters, its shared-memory store and
+            # one snapshot per row shard (role, resident rows).
+            pool = self.shard_pool.stats()
+            snapshot["data_plane"] = dict(
+                pool["pool"], n_workers=self.shard_pool.n_shards,
+                workers_alive=self.shard_pool.alive_workers())
+            snapshot["frame_store"] = pool["pool"]["frame_store"]
+            snapshot["workers"] = pool["workers"]
         return snapshot
 
     def health(self) -> Dict[str, object]:
-        """Liveness verdict: a single-process service is up iff it is open."""
+        """Liveness verdict: up while open — degraded while a shard is down.
+
+        Shard liveness uses the cheap non-blocking process check; a ping
+        would queue behind an in-progress scatter and stall the probe.  A
+        dead shard is respawned by the next request that reaches it.
+        """
         with self._lock:
             closed = self._closed
             datasets = sorted(self._pipelines)
-        return {"status": "down" if closed else "ok", "datasets": datasets}
+        health: Dict[str, object] = {"status": "down" if closed else "ok",
+                                     "datasets": datasets}
+        if self.shard_pool is not None:
+            alive = 0 if closed else self.shard_pool.alive_workers()
+            health["workers_alive"] = alive
+            health["n_workers"] = self.shard_pool.n_shards
+            if not closed and alive < self.shard_pool.n_shards:
+                health["status"] = "degraded"
+        return health
 
     def clear_cache(self) -> None:
         """Invalidate every cache layer for every dataset, coherently.
@@ -860,6 +887,10 @@ class ExplanationService:
                     name, pipeline.context.dataset_version)
         self._cache.clear()
         self._negative.clear()
+        if self.shard_pool is not None:
+            # The bumps age the shard contexts out of the pool's LRU;
+            # dropping them now frees worker memory immediately.
+            self.shard_pool.drop_all_contexts()
 
     def close(self) -> None:
         """Stop the per-dataset batcher threads; the service stops serving.
@@ -878,6 +909,8 @@ class ExplanationService:
             self.jobs.close(checkpoint=True)
         for batcher in batchers:
             batcher.close()
+        if self.shard_pool is not None:
+            self.shard_pool.close()
         if self._meta is not None:
             self._meta.flush()
             if self._owns_meta:

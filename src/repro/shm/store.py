@@ -1,7 +1,7 @@
 """The owner-side segment registry: generations, refcounts, unlink.
 
 A :class:`FrameStore` lives in the process that *owns* the data — the
-cluster front tier in keys mode, the shard coordinator in rows mode.  It
+replica cluster's front tier, or the shard pool that creates one.  It
 creates segments, hands out manifests, and answers the one lifecycle
 question that matters: *when is it safe to unlink?*
 

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.distributed.coordinator import ShardPool
 from repro.engine import ExplanationPipeline
 from repro.exceptions import (
     ConfigurationError,
@@ -477,6 +478,56 @@ class TestHTTPOverCluster:
 
 
 # --------------------------------------------------------------------------- #
+# HTTP front end over one service counting through row shards
+# --------------------------------------------------------------------------- #
+class TestHTTPOverShardPool:
+    def test_healthz_503_while_shard_down_then_heals(self, covid_bundle,
+                                                     covid_queries):
+        pool = ShardPool(n_shards=2, frame_store=True)
+        service = ExplanationService(coalesce_window_seconds=0.0,
+                                     shard_pool=pool)
+        service.register_bundle(covid_bundle, config=_config(covid_bundle))
+        client = LocalClient(service)
+        server = make_server(client, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        http = HTTPClient(f"http://{host}:{port}")
+        try:
+            assert http.health()["status"] == "ok"
+            http.explain(DATASET, covid_queries[0], k=3)
+            os.kill(pool._handles[1].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while pool._handles[1].process.is_alive():
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            status, _body = http._send("GET", "/healthz", None)
+            assert status == 503
+            degraded = http.health()
+            assert degraded["status"] == "degraded"
+            assert degraded["workers_alive"] == 1
+            # The next explanation that reaches the data plane respawns
+            # the dead shard and retries on it.
+            healed = http.explain(DATASET, covid_queries[1], k=3)
+            assert not healed.cache_hit
+            assert http.health()["status"] == "ok"
+            assert http.stats()["data_plane"]["worker_restarts"] == 1
+            # Invalidation frees every shard context and its segments.
+            http.clear_cache()
+            data_plane = http.stats()["data_plane"]
+            assert data_plane["contexts"] == 0
+            assert data_plane["frame_store"].get("segments", 0) == 0
+            status, metrics = http._send("GET", "/metrics", None)
+            assert status == 200
+            assert "repro_cluster_workers_alive 2" in \
+                metrics.decode().splitlines()
+        finally:
+            server.shutdown()
+            server.server_close()
+            client.close()
+
+
+# --------------------------------------------------------------------------- #
 # serving-path defaults and the background warmer
 # --------------------------------------------------------------------------- #
 class TestServingDefaults:
@@ -486,15 +537,6 @@ class TestServingDefaults:
         try:
             pipeline = service.register_bundle(covid_bundle, warm=False)
             assert pipeline.config.permutation_early_exit is True
-        finally:
-            service.close()
-
-    def test_early_exit_service_opt_out(self, covid_bundle):
-        service = ExplanationService(coalesce_window_seconds=0.0,
-                                     permutation_early_exit=False)
-        try:
-            pipeline = service.register_bundle(covid_bundle, warm=False)
-            assert pipeline.config.permutation_early_exit is False
         finally:
             service.close()
 

@@ -49,6 +49,7 @@ from repro.missingness.logistic import fit_logistic_multi, one_hot_encode_codes
 from repro.serving.client import HTTPClient, LocalClient
 from repro.serving.cluster import ServiceCluster
 from repro.serving.service import ExplanationService
+from repro.shm import shm_available
 
 TOL = 1e-9
 IRLS_TOL = 1e-7
@@ -498,7 +499,7 @@ class TestShardCountsFallback:
 
 
 # --------------------------------------------------------------------------- #
-# rows-mode serving cluster
+# row-sharded serving: one service over a shard pool
 # --------------------------------------------------------------------------- #
 class TestRowsModeCluster:
     def test_explain_stats_and_health(self, so_bundle):
@@ -510,32 +511,41 @@ class TestRowsModeCluster:
         with LocalClient(service) as local:
             reference = local.explain(so_bundle.name, query, k=3)
 
-        cluster = ServiceCluster(n_workers=3, shard="rows")
-        cluster.register_bundle(so_bundle, config=config, warm=False)
+        # The CLI's row-sharded default: columns ship through the pool's
+        # shared-memory frame store.
+        sharded = ExplanationService(
+            coalesce_window_seconds=0.0,
+            shard_pool=ShardPool(n_shards=3, frame_store=True))
         try:
-            cluster.start()
-            served = cluster.explain(so_bundle.name, query, k=3)
+            sharded.register_bundle(so_bundle, config=config, warm=False)
+            served = sharded.explain(so_bundle.name, query, k=3)
             ours = served.envelope.explanation
             theirs = reference.envelope.explanation
             assert ours.attributes == theirs.attributes
             assert ours.explainability == pytest.approx(
                 theirs.explainability, abs=TOL)
 
-            snapshot = cluster.stats()
-            assert snapshot["shard"] == "rows"
-            assert snapshot["cluster"]["workers_alive"] == 3
+            snapshot = sharded.stats()
+            assert snapshot["data_plane"]["workers_alive"] == 3
+            assert snapshot["data_plane"]["requests"] > 0
             resident = 0
             for worker in snapshot["workers"].values():
                 assert worker["role"] == "row-shard"
                 resident += worker["resident_rows"]
             # One context resident: each worker holds only its row range.
             assert resident == so_bundle.table.n_rows
-            assert cluster.health()["status"] == "ok"
+            store = snapshot["frame_store"]
+            assert store["enabled"] == shm_available()
+            if store["enabled"]:
+                assert store["segments"] > 0
+            health = sharded.health()
+            assert health["status"] == "ok"
+            assert (health["workers_alive"], health["n_workers"]) == (3, 3)
         finally:
-            cluster.close()
+            sharded.close()
 
     def test_keys_mode_stats_report_replicas(self, covid_bundle):
-        cluster = ServiceCluster(n_workers=2, shard="keys")
+        cluster = ServiceCluster(n_workers=2)
         cluster.register_bundle(
             covid_bundle,
             config=MESAConfig(excluded_columns=covid_bundle.id_columns),
@@ -550,10 +560,6 @@ class TestRowsModeCluster:
                 assert worker["resident_rows"] == covid_bundle.table.n_rows
         finally:
             cluster.close()
-
-    def test_rows_mode_requires_valid_axis(self):
-        with pytest.raises(ConfigurationError):
-            ServiceCluster(n_workers=2, shard="columns")
 
 
 # --------------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.distributed.coordinator import ShardPool
 from repro.engine import get_explainer
 from repro.engine.envelope import ENVELOPE_SCHEMA_VERSION, ExplanationEnvelope
 from repro.exceptions import (
@@ -40,7 +41,9 @@ from repro.serving import (
     ServiceCluster,
     make_server,
 )
+from repro.serving.cluster import HEDGE_MIN_SECONDS
 from repro.serving.schema import AppendRowsRequest, JobSubmitRequest
+from repro.shm import shm_available
 from repro.storage.envelopes import key_digest
 from repro.storage.metastore import (
     JOB_TERMINAL_STATES,
@@ -659,7 +662,7 @@ class TestHedgedRequests:
             cluster._latencies.extend([0.01] * 25)
             delay = cluster._hedge_delay()
             assert delay is not None
-            assert delay >= cluster.hedge_min_seconds
+            assert delay >= HEDGE_MIN_SECONDS
         finally:
             cluster.close()
 
@@ -684,40 +687,49 @@ class TestClusterAppendRows:
         query = AggregateQuery(exposure="device", outcome="spend",
                                aggregate="avg", context=Eq("country", "BR"),
                                table_name="people")
-        cluster = ServiceCluster(n_workers=2, shard=shard,
-                                 restart_warm_top=0, store_path=store_path)
-        cluster.register_dataset("people", table, warm=False)
-        cluster.start()
+        if shard == "keys":
+            served_by = ServiceCluster(n_workers=2, restart_warm_top=0,
+                                       store_path=store_path)
+            served_by.register_dataset("people", table, warm=False)
+            served_by.start()
+        else:
+            served_by = ExplanationService(
+                coalesce_window_seconds=0.0, store=store_path,
+                shard_pool=ShardPool(n_shards=2, frame_store=True))
+            served_by.register_dataset("people", table, warm=False)
         try:
-            cluster.explain("people", query, k=2)
-            result = cluster.append_rows("people", new_rows, rewarm=False)
+            served_by.explain("people", query, k=2)
+            result = served_by.append_rows("people", new_rows, rewarm=False)
             assert result["appended"] == 24
             assert result["n_rows"] == 264
             assert result["dataset_version"] == 1
-            served = cluster.explain("people", query, k=2)
+            served = served_by.explain("people", query, k=2)
+            if shard == "rows" and shm_available():
+                # The append retired the first version's shared-memory
+                # segments and the next explain republished the merged
+                # table's columns.
+                store = served_by.stats()["frame_store"]
+                assert store["segments_unlinked"] > 0
+                assert store["segments"] > 0
         finally:
-            cluster.close()
+            served_by.close()
 
         merged = table.concat_rows(Table.from_rows(
             new_rows, columns=list(table.column_names), name=table.name))
-        if shard == "rows":
-            # the rows-sharded plane draws its permutation nulls from
-            # per-shard RNG streams, so the apples-to-apples reference is
-            # a fresh rows-sharded cluster built straight on the merged
-            # table — proving append re-partitioned the row ranges into
-            # exactly the state a cold start would have produced
-            reference = ServiceCluster(n_workers=2, shard="rows",
-                                       restart_warm_top=0)
-            reference.register_dataset("people", merged, warm=False)
-            reference.start()
-            try:
-                expected = reference.explain("people", query, k=2)
-            finally:
-                reference.close()
-        else:
-            reference = ExplanationService(coalesce_window_seconds=0.0)
+        # replicas must match one in-process service; the row-sharded
+        # plane draws its permutation nulls from per-shard RNG streams, so
+        # its apples-to-apples reference is a fresh service over a 2-shard
+        # pool built straight on the merged table — proving append
+        # re-partitioned the row ranges into exactly the state a cold
+        # start would have produced
+        reference = ExplanationService(
+            coalesce_window_seconds=0.0,
+            shard_pool=ShardPool(n_shards=2, frame_store=True)
+            if shard == "rows" else None)
+        try:
             reference.register_dataset("people", merged, warm=False)
             expected = reference.explain("people", query, k=2)
+        finally:
             reference.close()
         assert served.envelope.canonical_json() == \
             expected.envelope.canonical_json()

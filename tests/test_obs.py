@@ -23,6 +23,7 @@ import urllib.request
 
 import pytest
 
+from repro.distributed.coordinator import ShardPool
 from repro.mesa.config import MESAConfig
 from repro.obs import trace
 from repro.obs.logs import SLOW_QUERY_LOGGER, JsonLogFormatter, log_slow_query
@@ -35,6 +36,7 @@ from repro.obs.trace import Tracer
 from repro.serving import (
     ClusterClient,
     ExplanationService,
+    LocalClient,
     ServiceCluster,
     make_server,
 )
@@ -548,6 +550,8 @@ class TestClusterObservability:
             # Point-in-time occupancy reflects only the live worker.
             assert after["cache"]["size"] == 1
             assert after["contexts"][DATASET]["stage_seconds"]
+            assert "repro_cluster_worker_restarts_total 1" in \
+                prometheus_text(after).splitlines()
 
     def test_cluster_stats_merge_worker_metrics(self, covid_bundle):
         cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
@@ -574,10 +578,11 @@ class TestClusterObservability:
 class TestCrossProcessTrace:
     def test_rows_cluster_http_explain_is_one_stitched_tree(
             self, covid_bundle):
-        cluster = ServiceCluster(n_workers=2, shard="rows")
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle),
+        service = ExplanationService(
+            shard_pool=ShardPool(n_shards=2, frame_store=True))
+        service.register_bundle(covid_bundle, config=_config(covid_bundle),
                                 warm=False)
-        client = ClusterClient(cluster)
+        client = LocalClient(service)
         server = make_server(client, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -483,23 +483,26 @@ class TestShardPoolFrameStore:
         results = {}
         before = _shm_entries()
         for use_store in (False, True):
-            store = FrameStore() if use_store else None
-            pool = ShardPool(n_shards=3, frame_store=store)
-            pool.start()
-            try:
+            with ShardPool(n_shards=3, frame_store=use_store) as pool:
                 ctx = pool.context_handle("d", 1, 1, 8, "ctx", n)
                 results[use_store] = pool.counts(ctx, jobs,
                                                  provider=columns.get)[0]
+                store_stats = pool.stats()["pool"]["frame_store"]
+                assert store_stats["enabled"] is use_store
                 if use_store:
-                    pool_stats = pool.stats()
-                    assert pool_stats["pool"]["frame_store"]["segments"] >= 1
-                    shard = pool_stats["workers"]["0"]
+                    # The pool owns its store: the counts went through
+                    # shared segments every shard attached ...
+                    assert store_stats["segments"] >= 1
+                    shard = pool.stats()["workers"]["0"]
                     assert shard["frame_store"]["attached_segments"] >= 1
+                    # ... and dropping the contexts retires them.
                     pool.drop_all_contexts()
-                    assert store.stats()["segments"] == 0
-            finally:
-                pool.close()
-                if store is not None:
-                    store.close()
+                    assert pool.stats()["pool"]["frame_store"][
+                        "segments"] == 0
+                    # Leave live segments behind for close() to unlink.
+                    ctx = pool.context_handle("d", 2, 1, 8, "ctx", n)
+                    pool.counts(ctx, jobs, provider=columns.get)
+                    assert _shm_entries() - before
         np.testing.assert_array_equal(results[True], results[False])
+        # Closing the pool closes its store: nothing is left in /dev/shm.
         assert not _shm_entries() - before
