@@ -1,27 +1,33 @@
-"""Cluster benchmark: 1-worker vs N-worker throughput, mixed contexts.
+"""Replica benchmark: 1 vs N engine replicas, mixed contexts.
 
 Plays a **mixed-context workload** — many distinct queries (several WHERE
 clauses x several exposures), repeated over multiple passes, the shape of
-a dashboard fleet refreshing against the service — through two cluster
-topologies behind the *same* ``ClusterClient`` API:
+a dashboard fleet refreshing against the service — through two
+topologies behind the *same* ``LocalClient`` API: one
+``ExplanationService`` over a ``ReplicaPool`` of 1 or N engine replicas,
+with an envelope cache of ``CACHE_SIZE`` entries per replica:
 
-* **1 worker** — one service process; its bounded explanation cache is
-  smaller than the workload's distinct-key count, so the repeat passes
-  thrash the LRU and mostly recompute;
-* **N workers** (default 4) — the canonical query keys shard by stable
-  hash, each worker holds only its key range, the aggregate cache capacity
-  is N x one worker's — the repeat passes serve from cache.  On multi-core
-  hosts the cold pass additionally computes N shards in parallel (one GIL
-  per worker); the cache-capacity effect is machine-independent.
+* **1 replica** — the front's bounded envelope cache and the replica's
+  engine caches are all smaller than the workload's distinct-key count,
+  so the repeat passes thrash the LRUs and mostly recompute;
+* **N replicas** (default 4) — the front caches N x as many envelopes,
+  and every miss runs on the replica its canonical key routes to by
+  stable hash, so each replica's engine caches hold only its key range —
+  the repeat passes serve from cache.  On multi-core hosts the cold pass
+  additionally computes N key ranges in parallel (one GIL per replica);
+  the cache-capacity effect is machine-independent.
 
-Every envelope served by the N-worker cluster is verified (canonically
+Every envelope served by the N-replica topology is verified (canonically
 byte-identical) against a fresh single-engine run — cache layers and the
 process boundary change nothing but latency.
 
 Writes ``BENCH_cluster.json`` (``cluster.seconds`` is what
 ``check_regression.py`` gates) and exits non-zero when the N-worker
 speedup falls below ``--min-speedup`` (default 2x) or any served envelope
-diverges from the engine.
+diverges from the engine.  ``cache_size_by_worker`` is each replica's
+measured prepared-state memo occupancy at the end of the run (the memo
+keeps each query's search result, so it is the work a replica holds for
+its key range; at most 64 entries per replica).
 
 Run with:  PYTHONPATH=src python benchmarks/bench_cluster.py [--workers 4]
 """
@@ -40,22 +46,24 @@ from repro.datasets.registry import load_dataset
 from repro.engine import ExplanationPipeline
 from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
-from repro.serving import ClusterClient, ServiceCluster
+from repro.distributed import ReplicaPool
+from repro.serving import ExplanationService, LocalClient
 
 DATASET = "SO"
 N_ROWS = 600
 K = 3
 EXPOSURES = ("Country", "EdLevel")
 OUTCOME = "Salary"
-#: Per-worker explanation-cache bound.  The workload below has 80 distinct
-#: canonical keys over 40 distinct contexts: past *every* bounded
-#: per-process cache — the 32-entry envelope cache here, the engine's
-#: 64-entry prepared-state memo and 32-entry frame cache — so one worker
-#: recomputes on every pass, while 4 workers' shards (~20 keys / ~10
-#: contexts each, with slack for hash imbalance) stay fully resident.
-#: That is the cluster's machine-independent scaling mechanism: stable
-#: routing makes the aggregate cache capacity N x one process's.  (On
-#: multi-core hosts the cold pass additionally computes shards in
+#: Envelope-cache entries per replica.  The workload below has 80 distinct
+#: canonical keys over 40 distinct contexts: past *every* bounded cache of
+#: one replica — the 32-entry envelope cache here, the engine's 64-entry
+#: prepared-state memo and 32-entry frame cache — so one replica
+#: recomputes on every pass, while with 4 replicas the 128-entry envelope
+#: cache holds every key and each replica's key range (~20 keys / ~10
+#: contexts, with slack for hash imbalance) stays resident in its engine
+#: caches.  That is the topology's machine-independent scaling mechanism:
+#: stable routing makes the aggregate cache capacity N x one process's.
+#: (On multi-core hosts the cold pass additionally computes key ranges in
 #: parallel.)
 CACHE_SIZE = 32
 PASSES = 4
@@ -86,20 +94,21 @@ def mixed_context_queries() -> list:
 
 def run_topology(bundle, config, n_workers: int, queries) -> dict:
     """Serve PASSES passes of the workload; returns timing + final stats."""
-    cluster = ServiceCluster(
-        n_workers=n_workers,
-        service_kwargs={"cache_size": CACHE_SIZE})
-    cluster.register_bundle(bundle, config=config)
+    service = ExplanationService(
+        cache_size=CACHE_SIZE * n_workers, coalesce_window_seconds=0.0,
+        pool=ReplicaPool(n_workers=n_workers, frame_store=n_workers > 1))
     startup_begin = time.perf_counter()
-    with ClusterClient(cluster) as client:  # start() waits for worker warm-up
+    # Registration starts the replicas and waits for their warm-up.
+    service.register_bundle(bundle, config=config)
+    with LocalClient(service) as client:
         startup_seconds = time.perf_counter() - startup_begin
         served_last = None
         start = time.perf_counter()
         for _ in range(PASSES):
-            # A thread-pool client: on multi-core hosts the shards compute
+            # A thread-pool client: on multi-core hosts the replicas compute
             # concurrently; on one core the pool degrades to sequential.
-            with ThreadPoolExecutor(max_workers=CLIENT_THREADS) as pool:
-                served_last = list(pool.map(
+            with ThreadPoolExecutor(max_workers=CLIENT_THREADS) as executor:
+                served_last = list(executor.map(
                     lambda query: client.explain(DATASET, query, k=K),
                     queries))
         seconds = time.perf_counter() - start
@@ -119,8 +128,10 @@ def run_topology(bundle, config, n_workers: int, queries) -> dict:
         "cache_hit_rate": round(
             cache.get("hits", 0) /
             max(1, cache.get("hits", 0) + cache.get("misses", 0)), 4),
-        "cache_size_by_worker": cache.get("by_worker", {}),
-        "start_method": stats["cluster"]["start_method"],
+        "cache_size_by_worker": {
+            index: snapshot["contexts"][DATASET]["prepared_states"]
+            for index, snapshot in sorted(stats["workers"].items())},
+        "start_method": stats["data_plane"]["start_method"],
         "envelopes": {one.envelope.query["name"]: one.envelope
                       for one in served_last},
     }

@@ -3,13 +3,14 @@
 Builds a **wide synthetic numeric table** (no missing values) whose bulk
 is pad columns excluded from candidate generation — the shape of a real
 analytics table where any one query touches a handful of columns — and
-serves the same two-query workload through four topologies:
+serves the same two-query workload through four topologies, each one
+``ExplanationService`` over a ``ReplicaPool`` of engine replicas:
 
-* 1 worker / 4 workers, frame store **off** — every worker receives the
-  pickled table and holds a private copy, so per-worker RSS carries the
-  whole dataset (plus the unpickle transient);
-* 1 worker / 4 workers, frame store **on** — workers attach read-only
-  views over the owner's shared segments and ``warm()`` publishes each
+* 1 replica / 4 replicas, frame store **off** — every replica receives
+  the pickled table and holds a private copy, so per-worker RSS carries
+  the whole dataset (plus the unpickle transient);
+* 1 replica / 4 replicas, frame store **on** — replicas attach read-only
+  views over the pool's shared segments and ``warm()`` publishes each
   hot context's encoded frame once, so a worker's RSS carries only the
   pages it actually touches.
 
@@ -45,7 +46,8 @@ from repro import __version__
 from repro.engine import ExplanationPipeline
 from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
-from repro.serving import ClusterClient, ServiceCluster
+from repro.distributed import ReplicaPool
+from repro.serving import ExplanationService, LocalClient
 from repro.table.column import Column, DType
 from repro.table.expressions import Gt, Lt
 from repro.table.table import Table
@@ -99,14 +101,15 @@ def workload():
 def run_topology(table: Table, config: MESAConfig, n_workers: int,
                  frame_store: bool, queries) -> dict:
     """Cold-start, warm, serve; returns per-worker RSS + timings + stats."""
-    cluster = ServiceCluster(n_workers=n_workers, start_method="spawn",
-                             frame_store=frame_store, restart_warm_top=0)
-    cluster.register_dataset(DATASET, table, config=config, warm=False)
+    service = ExplanationService(pool=ReplicaPool(
+        n_workers=n_workers, start_method="spawn", frame_store=frame_store))
     start = time.perf_counter()
-    with ClusterClient(cluster) as client:
+    # Registration starts the replicas and waits until they serve.
+    service.register_dataset(DATASET, table, config=config, warm=False)
+    with LocalClient(service) as client:
         startup_seconds = time.perf_counter() - start
         warm_start = time.perf_counter()
-        cluster.warm(DATASET, queries=queries)
+        service.warm(DATASET, queries=queries)
         warm_seconds = time.perf_counter() - warm_start
         envelopes = {query.name: client.explain(DATASET, query, k=K).envelope
                      for query in queries}
@@ -173,7 +176,7 @@ def main() -> None:
     on = arms["cluster_on"]["max_worker_maxrss_kb"]
     ratio = on / off
     # warm() must have encoded each hot context exactly once in the owner
-    # and the workers must have adopted, not re-encoded.
+    # and the replicas must have adopted, not re-encoded.
     store_stats = arms["cluster_on"]["frame_store"]
     frames_ok = store_stats.get("frames_published", 0) == len(queries)
     adopt_ok = (arms["cluster_on"]["frame_cache_misses"] == 0

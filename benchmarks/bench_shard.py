@@ -1,7 +1,7 @@
 """Row-shard benchmark: 1 vs 4 shards on the data axis, exactness gated.
 
 Serves the SO workload through the row-sharded data plane
-(``ExplanationService(shard_pool=ShardPool(n_shards=N))``: one service
+(``ExplanationService(pool=ShardPool(n_shards=N))``: one service
 whose engine counts through N shard workers that each hold only a
 contiguous row range and answer partial-count / permutation /
 IRLS-partial requests; above one shard the pool ships columns through
@@ -74,7 +74,7 @@ def run_topology(bundle, config, n_shards: int, queries) -> dict:
     startup_begin = time.perf_counter()
     service = ExplanationService(
         coalesce_window_seconds=0.0,
-        shard_pool=ShardPool(n_shards=n_shards, frame_store=n_shards > 1))
+        pool=ShardPool(n_shards=n_shards, frame_store=n_shards > 1))
     try:
         service.register_bundle(bundle, config=config, warm=False)
         startup_seconds = time.perf_counter() - startup_begin

@@ -70,7 +70,7 @@ def main() -> None:
     #    workers over forked contexts (same results, counters merged back);
     #    explain_many_envelopes(..., n_jobs=2) returns the same batch as
     #    JSON envelopes — the serving-tier shape.  Process-level fan-out is
-    #    the serving cluster's (step 8).
+    #    the serving tier's engine replicas (step 8).
     parallel = pipeline.explain_many([q.query for q in bundle.queries],
                                      k=3, n_jobs=2)
     print(f"Parallel batch: {len(parallel)} queries over "
@@ -139,28 +139,29 @@ def main() -> None:
     # 8. Scaling out: callers program against the transport-agnostic
     #    ExplanationClient protocol (explain / explain_batch / stats / warm
     #    / close), so *where* explanations compute is a deployment choice,
-    #    not a code change:
-    #      - LocalClient    wraps an in-process ExplanationService;
-    #      - HTTPClient     speaks to any remote JSON deployment;
-    #      - ClusterClient  shards canonical query keys over N worker
-    #        processes (ServiceCluster) — stable hashing keeps each
-    #        worker's caches hot for its key range, the front tier dedupes
-    #        in-flight keys, merges per-worker stats and restarts dead
-    #        workers.  `python -m repro.serving --workers 4` serves the
-    #        same HTTP API from such a cluster.
-    from repro.serving import ClusterClient, ServiceCluster
+    #    not a code change: a LocalClient wraps an in-process
+    #    ExplanationService, an HTTPClient speaks to any remote JSON
+    #    deployment.  The service itself can run its engine on a
+    #    ReplicaPool of N worker processes: each cache miss goes to the
+    #    replica its canonical query key routes to (stable hashing keeps
+    #    each replica's caches hot for its key range), while the service
+    #    keeps the one envelope cache, stats, health and restarts dead
+    #    replicas.  `python -m repro.serving --workers 4` serves the same
+    #    HTTP API from four replicas.
+    from repro.distributed import ReplicaPool
+    from repro.serving import LocalClient
 
-    cluster = ServiceCluster(n_workers=2)
-    cluster.register_bundle(bundle, config=pipeline.config)
-    with ClusterClient(cluster) as client:
-        sharded = client.explain(bundle.name, query, k=3)
-        same = sharded.envelope.canonical_json() == \
+    replicated = ExplanationService(pool=ReplicaPool(n_workers=2))
+    replicated.register_bundle(bundle, config=pipeline.config)
+    with LocalClient(replicated) as client:
+        routed = client.explain(bundle.name, query, k=3)
+        same = routed.envelope.canonical_json() == \
             served.envelope.canonical_json()
-        merged = client.stats()
-        print(f"Cluster: served from worker shard "
-              f"(identical envelope: {same}); merged stats cover "
-              f"{merged['cluster']['n_workers']} workers, "
-              f"{merged['cluster']['requests_routed']} routed requests")
+        stats = client.stats()
+        plane = stats["data_plane"]
+        print(f"Replicas: served from a routed replica "
+              f"(identical envelope: {same}); {plane['n_workers']} replicas "
+              f"answered {plane['requests']} engine requests")
 
     # 9. Scaling the *data* axis: a service built over a `ShardPool`
     #    splits each registered table into contiguous row ranges — one per
@@ -177,11 +178,10 @@ def main() -> None:
     #    verdict-stable query — see tests/test_distributed.py for the
     #    systematic equality coverage.)
     from repro.distributed import ShardPool
-    from repro.serving import LocalClient
 
     stable_query = bundle.queries[0].query
     direct = pipeline.explain(stable_query, k=3)
-    rows_service = ExplanationService(shard_pool=ShardPool(n_shards=2))
+    rows_service = ExplanationService(pool=ShardPool(n_shards=2))
     rows_service.register_bundle(bundle, config=pipeline.config, warm=False)
     with LocalClient(rows_service) as client:
         row_sharded = client.explain(bundle.name, stable_query, k=3)
@@ -193,19 +193,20 @@ def main() -> None:
         print(f"Row shards: same attributes as the single process: "
               f"{same_attrs}; data-plane layout {residency}")
 
-    # 10. Memory: a replica cluster holds ONE shared copy of each encoded
-    #     dataset, not one per worker.  With the frame store on (the
-    #     default for multi-worker clusters when /dev/shm works) the owner
-    #     packs the encoded columns into POSIX shared segments and workers
-    #     map them as read-only views; warm() additionally pre-encodes the
-    #     hot query contexts once and publishes the frames for adoption.
-    #     Scaled up — `python -m repro.serving --dataset SO --workers 8` —
-    #     per-worker RSS stays near-flat as workers are added; the merged
-    #     stats carry each worker's maxrss and the store's segment sizes.
-    mem_cluster = ServiceCluster(n_workers=2)
-    mem_cluster.register_bundle(bundle, config=pipeline.config, warm=False)
-    with ClusterClient(mem_cluster) as client:
-        mem_cluster.warm(bundle.name, queries=[query])
+    # 10. Memory: a replica pool can hold ONE shared copy of each encoded
+    #     dataset, not one per replica.  With the frame store on (the CLI
+    #     default for --workers > 1 when /dev/shm works) the pool packs the
+    #     encoded columns into POSIX shared segments and replicas map them
+    #     as read-only views; warm() additionally pre-encodes the hot query
+    #     contexts once and publishes the frames for adoption.  Scaled up —
+    #     `python -m repro.serving --dataset SO --workers 8` — per-replica
+    #     RSS stays near-flat as replicas are added; stats() carries each
+    #     replica's maxrss and the store's segment sizes.
+    mem_service = ExplanationService(
+        pool=ReplicaPool(n_workers=2, frame_store=True))
+    mem_service.register_bundle(bundle, config=pipeline.config, warm=False)
+    with LocalClient(mem_service) as client:
+        client.warm(bundle.name, queries=[query])
         merged = client.stats()
         store = merged["frame_store"]
         rss = {index: f"{worker['memory']['maxrss_kb'] // 1024} MiB"
@@ -219,8 +220,9 @@ def main() -> None:
     # 11. Observability: tracing and metrics are on by default and cheap
     #     enough to stay on.  Every served request carries a trace id whose
     #     span tree (pipeline stages, permutation tests, IPW fit batches,
-    #     cache lookups, batcher queue wait — and, in a cluster, the RPCs
-    #     and the worker/shard spans stitched across the process boundary)
+    #     cache lookups, batcher queue wait — and, over a worker pool, the
+    #     RPCs and the replica/shard spans stitched across the process
+    #     boundary)
     #     is served by GET /trace/<id>; GET /metrics exposes Prometheus
     #     text (latency histograms with estimated quantiles, cache hit
     #     ratios, engine counters) from any topology; requests slower than

@@ -1,19 +1,19 @@
 """Serve Stack Overflow salary explanations over HTTP, end to end.
 
-Starts a serving backend for the synthetic Stack Overflow dataset — an
-in-process :class:`~repro.serving.ExplanationService` by default, or a
-sharded :class:`~repro.serving.ServiceCluster` of worker processes with
-``--workers N`` (the *same* HTTP handler serves both) — brings up the
-JSON-over-HTTP front end on a free port, and then plays a short traffic
-script against it:
+Starts an :class:`~repro.serving.ExplanationService` for the synthetic
+Stack Overflow dataset — running the engine in process by default, or on
+a :class:`~repro.distributed.ReplicaPool` of N engine replicas with
+``--workers N`` (the *same* service and HTTP handler serve both) — brings
+up the JSON-over-HTTP front end on a free port, and then plays a short
+traffic script against it:
 
 1. a cold ``POST /explain`` (full engine run),
 2. the same request again (explanation-cache hit, byte-identical),
 3. a repeated-context batch (``POST /explain_batch`` — the context-level
    frame cache means the shared WHERE clause is encoded once),
 4. a burst of identical concurrent requests (coalesced to one execution),
-5. ``GET /stats`` to show what the serving layer did — in cluster mode
-   including the merged counter view and per-worker cache hit rates.
+5. ``GET /stats`` to show what the serving layer did — with replicas
+   including the data-plane counters and each replica's engine runs.
 
 Run with:  PYTHONPATH=src python examples/serve_stackoverflow.py [--workers 4]
 
@@ -32,13 +32,8 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import MESAConfig, load_dataset
-from repro.serving import (
-    ClusterClient,
-    ExplanationService,
-    LocalClient,
-    ServiceCluster,
-    make_server,
-)
+from repro.distributed import ReplicaPool
+from repro.serving import ExplanationService, LocalClient, make_server
 
 
 def post(base: str, path: str, body: dict) -> dict:
@@ -55,24 +50,26 @@ def get(base: str, path: str) -> dict:
 
 def build_client(bundle, n_workers: int):
     config = MESAConfig(excluded_columns=tuple(bundle.id_columns), k=3)
-    if n_workers <= 1:
-        service = ExplanationService(cache_size=4096,
-                                     coalesce_window_seconds=0.01)
+    replicas = None
+    if n_workers > 1:
+        replicas = ReplicaPool(n_workers=n_workers, frame_store=True)
+        print(f"Starting {n_workers} engine replicas for {bundle.name} "
+              f"({bundle.table.n_rows} rows); each warms its own caches ...")
+    else:
         print(f"Registering {bundle.name} ({bundle.table.n_rows} rows) and "
               f"warming the cross-query caches ...")
-        service.register_bundle(bundle, config=config)
-        return LocalClient(service)
-    cluster = ServiceCluster(n_workers=n_workers)
-    cluster.register_bundle(bundle, config=config)
-    print(f"Starting {n_workers} worker processes for {bundle.name} "
-          f"({bundle.table.n_rows} rows); each warms its own caches ...")
-    return ClusterClient(cluster)
+    service = ExplanationService(cache_size=4096 * n_workers,
+                                 coalesce_window_seconds=0.01,
+                                 pool=replicas)
+    service.register_bundle(bundle, config=config)
+    return LocalClient(service)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=1,
-                        help="1 = in-process service, N > 1 = sharded cluster")
+                        help="1 = engine in process, N > 1 = N engine "
+                             "replicas")
     args = parser.parse_args()
 
     bundle = load_dataset("SO", seed=7, n_rows=2000)
@@ -144,20 +141,20 @@ def main() -> None:
         batcher = stats["batchers"]["SO"]
         print(f"Batcher deduplicated {batcher['requests_deduplicated']} of "
               f"{batcher['requests_submitted']} submissions")
-    if "cluster" in stats:
-        front = stats["cluster"]
-        print(f"Front tier: {front['requests_routed']} requests routed over "
-              f"{front['n_workers']} workers, "
-              f"{front['requests_deduplicated']} deduplicated in flight, "
-              f"{front['worker_restarts']} restarts")
-        print("Per-worker cache hit rates (merged stats keep the breakdown):")
+    if "data_plane" in stats:
+        plane = stats["data_plane"]
+        print(f"Data plane: {plane['requests']} engine requests over "
+              f"{plane['n_workers']} replicas "
+              f"({plane['workers_alive']} alive, "
+              f"{plane['worker_restarts']} restarts)")
+        print("Per-replica engine runs (each replica keeps its key range):")
         for worker_id, snapshot in sorted(stats["workers"].items()):
-            worker_cache = snapshot["cache"]
-            total = worker_cache["hits"] + worker_cache["misses"]
-            rate = worker_cache["hits"] / total if total else 0.0
-            print(f"  worker {worker_id}: {worker_cache['hits']:>3} hits / "
-                  f"{worker_cache['misses']:>3} misses "
-                  f"({rate:.0%} hit rate, {worker_cache['size']} resident)")
+            worker_counters = snapshot["contexts"]["SO"]["counters"]
+            print(f"  replica {worker_id}: "
+                  f"{worker_counters.get('queries_explained', 0):>3} "
+                  f"queries explained, "
+                  f"{worker_counters.get('frame_cache_hits', 0):>3} "
+                  f"frame cache hits")
 
     server.shutdown()
     server.server_close()

@@ -97,7 +97,9 @@ these paths' timings and gates their work counters.  The knobs on
   results as JSON-serializable envelopes (the form a serving tier or
   result cache should consume).  Worker cache counters merge back into
   ``pipeline.context.counters``.  Process-level fan-out is the serving
-  cluster's (``ServiceCluster`` below).
+  tier's (engine replicas, ``ReplicaPool`` below).  Every batch first
+  runs ``pipeline.warm()`` — extraction and offline pruning, timed as
+  ``stage_seconds['warm']``.
 
 Repeated-context queries additionally hit the context-level encoded-frame
 cache (``PipelineContext.context_frame``): two queries sharing a WHERE
@@ -128,22 +130,27 @@ hostile repeats never reach the engine (``service.negative_hit``).
 
 Callers program against the transport-agnostic
 :class:`~repro.serving.ExplanationClient` protocol — ``explain`` /
-``explain_batch`` / ``stats`` / ``warm`` / ``close`` — with three
+``explain_batch`` / ``stats`` / ``warm`` / ``close`` — with two
 interchangeable implementations: :class:`~repro.serving.LocalClient`
-(in-process service), :class:`~repro.serving.HTTPClient` (stdlib JSON
+(in-process service) and :class:`~repro.serving.HTTPClient` (stdlib JSON
 client for any remote deployment, with per-thread keep-alive connections
-and a single idempotent retry when a pooled socket turns out stale) and
-:class:`~repro.serving.ClusterClient`, which shards canonical query keys
-over the N worker processes of a :class:`~repro.serving.ServiceCluster`
-by **stable hash** — each worker's explanation/frame/fit caches stay hot
-for exactly its key range, so the cluster's aggregate cache capacity (and,
-on multi-core hosts, its compute) scales with N.  The thin front tier
-dedupes in-flight keys, merges per-worker ``stats()`` into one counter
-view, restarts dead workers (retrying the failed request and re-warming
-the new worker from recorded top-K history), and broadcasts
-``clear_cache`` — every canonical key carries a **dataset version** that
-bumps on registration/invalidation, so envelope, negative and frame
-caches in every process retire coherently.  On the serving path the
+and a single idempotent retry when a pooled socket turns out stale).
+
+``ExplanationService(pool=ReplicaPool(n_workers=N))`` scales the
+engine past one GIL: N engine replicas (:mod:`repro.distributed.
+replicas`) each hold every registered dataset, and each cache miss runs
+on the replica its canonical query key routes to by **stable hash**, so
+every replica's prepared-state, frame and fit caches stay hot for exactly
+its key range while the service keeps the one envelope cache, history,
+jobs, health and metrics.  Misses queue in one micro-batcher per replica,
+so a slow query on one replica never holds back another's.  A dead
+replica is respawned by the next miss routed to it (the request is
+retried; envelopes cached in the front survive), ``stats()`` folds the
+replicas' engine counters into its ``contexts`` (monotonic across
+restarts), and ``clear_cache`` bumps every replica — every canonical key
+carries a **dataset version** that bumps on registration/invalidation,
+so envelope, negative and frame caches in every process retire
+coherently.  On the serving path the
 permutation early exit is on by default (the p-value audit: nothing
 consumes more than the boolean independence verdict, which the exit
 provably never flips), and so is the speculative pipelined search (it is
@@ -155,9 +162,9 @@ replace a statistically uncertain verdict, which is a semantic change the
 deployment must choose (``config.with_overrides(
 max_responsibility_permutations=...)`` at registration).
 
-``ExplanationService(shard_pool=ShardPool(n_shards=N))`` scales the
-**data** axis instead of the key axis, with one service rather than a
-cluster: each registered table is split into N contiguous row ranges,
+``ExplanationService(pool=ShardPool(n_shards=N))`` scales the
+**data** axis instead of the key axis: each registered table is split
+into N contiguous row ranges,
 one per shard worker, and the service's engine scatter-gathers the
 row-sharded data plane (:mod:`repro.distributed`): per-shard partial
 contingency counts summed before the entropy step (weighted bincounts
@@ -179,20 +186,20 @@ plane (``data_plane``) and each shard's role and resident row count
 over the same HTTP API.
 
 A stdlib JSON-over-HTTP front end serves **any** client — one process or
-a whole cluster is just ``python -m repro.serving --dataset SO --workers
-4`` — exposing ``POST /explain``, ``POST /explain_batch``, ``POST
-/warm``, ``POST /clear_cache``, ``GET /stats`` and ``GET /healthz``
-(503 while any worker is down) with strict request validation mapped to
-HTTP 400s and missing-data failures to 422.  See
+four engine replicas is just ``python -m repro.serving --dataset SO
+--workers 4`` — exposing ``POST /explain``, ``POST /explain_batch``,
+``POST /warm``, ``POST /clear_cache``, ``GET /stats`` and ``GET
+/healthz`` (503 while any worker is down) with strict request validation
+mapped to HTTP 400s and missing-data failures to 422.  See
 ``examples/serve_stackoverflow.py`` for an end-to-end tour, including the
-``--workers`` cluster demo with per-worker cache hit rates.
+``--workers`` replica demo with per-replica engine runs.
 
 Memory
 ------
 
-A multi-worker cluster would naively hold one private copy of every
-registered table per process.  The **shared-memory frame store**
-(:mod:`repro.shm`) removes that multiplier: the cluster owner packs each
+A replica pool would naively hold one private copy of every registered
+table per process.  The **shared-memory frame store**
+(:mod:`repro.shm`) removes that multiplier: the pool's owner packs each
 dataset's encoded columns — numeric value/missing-mask arrays, categorical
 code arrays plus their category tables — into POSIX shared segments
 (``multiprocessing.shared_memory``) and ships workers a tiny *manifest*
@@ -203,11 +210,11 @@ pre-encodes the hot query contexts once in the owner, publishing each
 :class:`~repro.infotheory.encoding.EncodedFrame` so workers adopt the
 factorised code arrays instead of re-encoding the same columns N times.
 
-The store is **on by default for multi-worker clusters** whenever POSIX
+The CLI turns the store **on for every worker pool** whenever POSIX
 shared memory actually works (probed, not assumed — containers may mount
 no ``/dev/shm``), and falls back to the classic copy path otherwise;
 ``python -m repro.serving --workers 8 --frame-store off`` opts out, and
-``ServiceCluster(frame_store=True/False/None)`` is the programmatic knob.
+``ReplicaPool(frame_store=True)`` is the programmatic knob.
 A shard pool (``ShardPool(frame_store=True)``, which ``--shard rows``
 builds unless ``--frame-store off``) publishes each context's columns
 through a pool-owned store, so scatter-gather jobs ship refs instead of
@@ -244,9 +251,9 @@ Durability
 
 Nothing above survives a process death — the durability layer
 (:mod:`repro.storage` + :mod:`repro.jobs`) fixes that with one storage
-substrate.  ``ExplanationService(store="meta.sqlite3")`` (or
-``ServiceCluster(store_path=...)`` / ``python -m repro.serving --store
-PATH``) opens a :class:`~repro.storage.MetaStore`: a WAL-mode SQLite
+substrate.  ``ExplanationService(store="meta.sqlite3")`` (or ``python -m
+repro.serving --store PATH``, in every topology) opens a
+:class:`~repro.storage.MetaStore`: a WAL-mode SQLite
 file owned by a single writer thread fed from a queue, so HTTP request
 threads enqueue writes and never block on an fsync.  Three things live
 in it:
@@ -259,8 +266,8 @@ in it:
   queries of *previous* processes, so a crash costs a re-read, not a
   recompute (``benchmarks/bench_recovery.py`` gates the post-restart
   warm-hit ratio at >= 0.8 and byte-identity with the pre-restart run).
-* **Resumable jobs.**  ``service.enable_jobs()`` (automatic for
-  store-backed clusters) runs ``explain_batch`` and ``warm`` as
+* **Resumable jobs.**  ``service.enable_jobs()`` (automatic in the CLI
+  with ``--store``) runs ``explain_batch`` and ``warm`` as
   durable jobs with a PENDING -> RUNNING -> DONE/FAILED/CANCELLED state
   machine, heartbeats and owner-epoch crash recovery: every completed
   query streams its envelope into the store, so a SIGKILLed deployment
@@ -269,12 +276,13 @@ in it:
   results (the kill-mid-workload test in ``tests/test_durability.py``
   proves exactly this).  Over HTTP: ``POST /jobs`` -> id,
   ``GET /jobs/<id>`` (``?result=1`` inlines envelopes),
-  ``DELETE /jobs/<id>`` cancels at the next query boundary; all three
+  ``DELETE /jobs/<id>`` cancels at the next query boundary; both
   clients grow ``submit_job`` / ``job_status`` / ``wait_job`` /
   ``cancel_job`` / ``list_jobs``.
 * **Live datasets.**  ``append_rows(dataset, rows)`` grows a registered
   table in place: the dataset version bumps durably, every cache tier
-  in every process retires coherently (a service over row shards
+  in every process retires coherently (engine replicas merge the
+  appended rows or attach the merged table, a service over row shards
   re-partitions their ranges, frame-store generations retire), and a
   background re-warm job replays the recorded top-K queries against the
   new version — streaming scenarios like "explain this week's drift"
@@ -282,11 +290,7 @@ in it:
 
 Serving under SIGTERM/SIGINT is graceful: the signal drains in-flight
 connections, checkpoints RUNNING jobs back to PENDING (their prefix
-stays durable) and flushes the write-behind queue before exit.  Keyed
-clusters can also **hedge stragglers** (``--hedge`` /
-``ServiceCluster(hedge_requests=True)``): after a p99-derived delay the
-front tier re-issues a slow request to a second worker and answers with
-whichever returns first (``hedge_fired`` / ``hedge_won`` in stats).
+stays durable) and flushes the write-behind queue before exit.
 ``GET /metrics`` exposes the ``repro_jobs_*``, ``repro_envelope_store_*``
 and ``repro_metastore_*`` families.
 
@@ -303,9 +307,9 @@ workload at <= 5%, recorded in ``BENCH_obs.json``).
   stages, each permutation test (tagged with permutations run, early
   exits, budget extensions), IPW fit batches (cache hits/misses), frame
   encodes, envelope/negative cache lookups, micro-batcher queue wait and
-  batch execution, and every cluster/shard RPC.  Trace context propagates
-  across process boundaries — cluster worker frames and row-shard job
-  frames carry the caller's ``(trace_id, parent_span_id)`` and ship their
+  batch execution, and every replica/shard RPC.  Trace context propagates
+  across process boundaries — replica and row-shard request frames carry
+  the caller's ``(trace_id, parent_span_id)`` and ship their
   spans back in the reply — so one HTTP request renders as a single tree:
   front end -> ``rpc.*`` -> worker/shard spans.  ``GET /trace/<id>``
   serves the tree; ``"debug": true`` in an explain request inlines it in
@@ -314,10 +318,10 @@ workload at <= 5%, recorded in ``BENCH_obs.json``).
 * **Metrics** — a registry of counters, gauges and fixed-bucket latency
   histograms (:mod:`repro.obs.metrics`) absorbs the engine's per-context
   counters and stage timings, adds request/batch latency series, cache
-  occupancy and hit ratios, queue depths and worker liveness, and merges
-  across cluster workers exactly as ``stats()`` merges counters —
-  monotonic tallies of a dead worker's last snapshot are folded into the
-  front tier, so lifetime counters never move backwards on a restart.
+  occupancy and hit ratios, queue depths and worker liveness; engine
+  replicas' counters fold into the front's ``stats()`` — monotonic
+  tallies of a dead replica's last snapshot are kept in a base, so
+  lifetime counters never move backwards on a restart.
   ``GET /metrics`` serves the Prometheus text exposition (histograms with
   ``_bucket``/``_sum``/``_count`` plus estimated p50/p90/p99 gauges) from
   every topology.

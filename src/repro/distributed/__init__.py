@@ -1,11 +1,13 @@
-"""Row-sharded data plane: scatter-gather counts, permutations and IRLS.
+"""Data planes across processes: engine replicas and row shards.
 
-The serving tier of PR 5 scales on the *user* axis — every cluster worker
-holds a full copy of the registered tables and the key space shards across
-them.  This package adds the *data* axis: a registered table is split into
-contiguous row ranges, each owned by a stateful shard worker process, and
-a query's information-theoretic work units fan out as scatter-gather
-rounds:
+A registered table can be served two ways across processes.  The
+*replica* plane (:class:`~repro.distributed.replicas.ReplicaPool`) runs N
+engine replicas that each hold the whole table, and the serving front
+routes every cache miss to one of them by canonical query key.  The
+*row-shard* plane (:class:`~repro.distributed.coordinator.ShardPool`)
+instead splits the table into contiguous row ranges, each owned by a
+stateful shard worker process, and a query's information-theoretic work
+units fan out as scatter-gather rounds:
 
 * **counts** — every entropy/MI/CMI term reduces to one weighted
   contingency count over fused codes, and counts are additive over row
@@ -30,21 +32,24 @@ rounds:
   tolerance.
 
 :class:`~repro.distributed.coordinator.ShardPool` owns the worker
-processes (started, replaced and stopped by the worker lifecycle in
-:mod:`repro.distributed.ipc`, which the serving cluster shares);
-:class:`~repro.distributed.counts.ShardCounts` is the counts source a
-:class:`~repro.core.problem.CorrelationExplanationProblem` uses to route
-its estimates through a pool.  ``ExplanationService(shard_pool=ShardPool(
-...))`` wires the whole stack into the serving tier: the service attaches
-the pool to every pipeline it registers.
+processes, and :class:`~repro.distributed.counts.ShardCounts` is the
+counts source a :class:`~repro.core.problem.CorrelationExplanationProblem`
+uses to route its estimates through one.  Both pools start, replace and
+stop their workers through the one lifecycle in
+:mod:`repro.distributed.ipc`, and both plug into the one serving front:
+``ExplanationService(pool=ShardPool(...))`` attaches the shard pool to
+every pipeline it registers, ``ExplanationService(pool=ReplicaPool(...))``
+sends every dataset to every replica.
 """
 
 from repro.distributed.coordinator import ShardContext, ShardPool
 from repro.distributed.counts import ShardCounts
 from repro.distributed.ipc import WorkerDiedError, WorkerFaultError
 from repro.distributed.partition import row_ranges
+from repro.distributed.replicas import ReplicaPool
 
 __all__ = [
+    "ReplicaPool",
     "ShardContext",
     "ShardCounts",
     "ShardPool",

@@ -17,10 +17,11 @@ worker-side slices), and version bumps age out stale ones naturally
 because the version participates in the key.
 
 **Restart.**  Worker state is a pure function of (shipped columns,
-shipped relabels), so the pool heals exactly like the serving cluster: a
-dead worker is respawned blank, its per-context shipped bookkeeping is
-reset, and the failed request is retried once — the prepare step re-ships
-whatever the retried request needs.
+shipped relabels), so the pool heals like the engine replicas of
+:class:`~repro.distributed.replicas.ReplicaPool`: a dead worker is
+respawned blank, its per-context shipped bookkeeping is reset, and the
+failed request is retried once — the prepare step re-ships whatever the
+retried request needs.
 
 **Shared memory.**  With ``frame_store=True`` the pool creates and owns
 a :class:`~repro.shm.store.FrameStore`: each full column is published
@@ -134,8 +135,8 @@ class ShardPool:
     n_shards:
         How many shard worker processes to spawn.
     start_method:
-        ``"fork"`` / ``"spawn"`` — same semantics as
-        :class:`~repro.serving.cluster.ServiceCluster`.
+        ``"fork"`` / ``"spawn"``; ``None`` picks fork where the platform
+        has it (:func:`~repro.distributed.ipc.resolve_start_method`).
     request_timeout:
         Seconds to wait for one worker reply before declaring it dead.
     frame_store:
@@ -635,11 +636,16 @@ class ShardPool:
                 "requests": self.requests,
                 "worker_restarts": self.worker_restarts,
                 "request_retries": self.request_retries,
+                **self.liveness(),
             }
         front["frame_store"] = {"enabled": self._store is not None}
         if self._store is not None:
             front["frame_store"].update(self._store.stats())
         return {"pool": front, "workers": workers}
 
-    def alive_workers(self) -> int:
-        return sum(handle.alive() for handle in self._handles)
+    def liveness(self) -> Dict[str, int]:
+        """The shard count and how many shard processes are alive (the
+        keys a replica pool reports too)."""
+        return {"n_workers": self.n_shards,
+                "workers_alive": sum(handle.alive()
+                                     for handle in self._handles)}

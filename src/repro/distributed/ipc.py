@@ -1,9 +1,10 @@
-"""The worker substrate shared by the serving and data-plane tiers.
+"""The worker substrate shared by both data planes.
 
-:class:`~repro.serving.cluster.ServiceCluster` (key-sharded replicas) and
-:class:`~repro.distributed.coordinator.ShardPool` (row shards) run their
-workers as :mod:`multiprocessing` processes over pipes, and this module
-owns everything about those workers that the two tiers share:
+:class:`~repro.distributed.replicas.ReplicaPool` (key-routed engine
+replicas) and :class:`~repro.distributed.coordinator.ShardPool` (row
+shards) run their workers as :mod:`multiprocessing` processes over pipes,
+and this module owns everything about those workers that the two pools
+share:
 
 * **transport** — one outstanding request per worker (a parent-side lock
   serialises the round-trips), replies framed as ``("ok", payload)`` or
@@ -14,8 +15,10 @@ owns everything about those workers that the two tiers share:
   (:func:`respawn`), the graceful-then-firm :func:`shutdown`, and the
   stale-tolerant ``stats`` probe (:func:`probe_stats`).
 
-The owning tiers keep only their own hooks around these: what a fresh
-worker must be told, and what a dead one's state folds into.
+The owning pools keep only their own hooks around these: what a fresh
+worker must be told, and what a dead one's state folds into.  Both sit
+behind the one serving front,
+:class:`~repro.serving.service.ExplanationService`.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class WorkerDiedError(ReproError):
 
     Deliberately *not* an :class:`ExplanationError`: that family means "the
     request was bad" (HTTP 400 on the serving path), while a dead worker is
-    a server fault (500) — and one the owning tier usually heals by
+    a server fault (500) — and one the owning pool usually heals by
     restarting the worker and retrying before any caller sees this.
     """
 
@@ -48,9 +51,9 @@ class WorkerFaultError(ReproError):
     ...) whose types do not live in :mod:`repro.exceptions`.  Like
     :class:`WorkerDiedError` this is a *server* fault (HTTP 500) — it must
     never be folded into the client-error family, or switching from one
-    process to a cluster would reclassify crashes as bad requests.  Unlike
-    a died worker it is not retried: the process is healthy, the request
-    deterministically fails.
+    process to a worker pool would reclassify crashes as bad requests.
+    Unlike a died worker it is not retried: the process is healthy, the
+    request deterministically fails.
     """
 
 
@@ -75,7 +78,7 @@ def rebuild_error(type_name: str, args: Tuple) -> Exception:
 
 
 def serve_pipe(conn, serve_one, span_prefix: str = "worker") -> None:
-    """The worker-side request/response loop shared by both tiers.
+    """The worker-side request/response loop shared by both pools.
 
     ``serve_one(op, payload)`` computes one reply; exceptions cross the
     pipe as ``("error", (type_name, args))`` and are rebuilt by

@@ -191,8 +191,8 @@ class ExplanationEnvelope:
         Two runs of the same query produce equal canonical dicts exactly
         when they found the same explanation — wall-clock timings are the
         only envelope fields that legitimately differ between runs, so
-        equality tests across serving tiers (local vs. cluster worker vs. a
-        fresh engine) compare this form.
+        equality tests across serving tiers (local vs. engine replica vs.
+        a fresh engine) compare this form.
         """
         data = self.to_dict()
         data["timings"] = None

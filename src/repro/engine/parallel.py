@@ -9,8 +9,11 @@ is shared between workers and full :class:`ExplanationResult` objects come
 back directly.  The workers' cache counters, stage timings and new IPW
 selection fits are merged back into the parent's :class:`PipelineContext`
 after the batch, so the batch-API observability (``context.counters``)
-keeps working.  Process-level fan-out is the serving tier's
-(:class:`~repro.serving.cluster.ServiceCluster`).
+keeps working.  The cross-query artefacts are built once, before the
+workers fork off, by :meth:`~repro.engine.pipeline.ExplanationPipeline.warm`.
+Process-level fan-out is the serving tier's: an
+:class:`~repro.serving.service.ExplanationService` over a
+:class:`~repro.distributed.replicas.ReplicaPool` of engine replicas.
 """
 
 from __future__ import annotations
@@ -58,27 +61,6 @@ def _worker_pipeline(parent_pipeline):
     )
 
 
-def _warm_context(pipeline) -> None:
-    """Build the cross-query artefacts once, before workers fork off.
-
-    Workers inherit the warmed extraction and offline-pruning caches, so
-    the paper's "across-queries" pre-processing still runs exactly once
-    per batch regardless of the worker count.
-    """
-    config = pipeline.config
-    augmented = pipeline.context.augmented_table(config.hops)
-    if config.use_offline_pruning:
-        # Verdicts are judged lazily per column, so warm exactly the
-        # columns queries can use as candidates — excluded (identifier)
-        # columns of a wide table are never scanned.
-        candidates = [name for name in augmented.column_names
-                      if name not in config.excluded_columns]
-        pipeline.context.offline_pruning(
-            candidates, hops=config.hops,
-            max_missing_fraction=config.max_missing_fraction,
-            high_entropy_unique_ratio=config.high_entropy_unique_ratio)
-
-
 def _write_back_fits(parent_context, fit_entries) -> None:
     """Merge a worker's new selection fits into the parent's fit cache.
 
@@ -103,7 +85,10 @@ def explain_many_threaded(pipeline, queries: Sequence, k: Optional[int],
     query's originating trace on the worker thread that runs it, so
     coalesced traced requests keep their engine spans.
     """
-    _warm_context(pipeline)
+    # Workers inherit the warmed extraction and offline-pruning caches, so
+    # the paper's "across-queries" pre-processing runs once per batch
+    # regardless of the worker count.
+    pipeline.warm()
     results: List = [None] * len(queries)
 
     def run_chunk(indices: List[int]):

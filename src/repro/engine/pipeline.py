@@ -8,6 +8,9 @@ An :class:`ExplanationPipeline` composes the first-class stages of
 * ``explain_many(queries, k)`` is the batch API: the context caches make
   extraction and offline pruning run exactly once for the whole batch (the
   paper's "across-queries" pre-processing, generalised);
+* ``warm()`` builds that cross-query pre-processing up front, timed as the
+  ``warm`` stage — the one pre-warm every batch, the serving tier and the
+  engine replicas run;
 * ``prepare(query)`` runs every stage up to (but not including) the search
   and memoises the resulting :class:`QueryState`, so several explainers can
   search the same prepared problem without re-running the pipeline;
@@ -100,6 +103,11 @@ class ExplanationPipeline:
         """The input dataset the pipeline explains queries over."""
         return self.context.table
 
+    def prepared_states(self) -> int:
+        """How many prepared query states the memo holds (at most
+        ``max_prepared_states``)."""
+        return len(self._prepared)
+
     def with_config(self, config: MESAConfig) -> "ExplanationPipeline":
         """A pipeline for a configuration variant sharing this context.
 
@@ -116,6 +124,33 @@ class ExplanationPipeline:
     # ------------------------------------------------------------------ #
     # staged execution
     # ------------------------------------------------------------------ #
+    def warm(self) -> None:
+        """Build the cross-query artefacts: the augmented table, then the
+        offline-pruning verdicts of every candidate-eligible column.
+
+        Idempotent (both are context caches).  Batches, the thread fan-out,
+        the serving tier and engine replicas all pre-warm through this one
+        call, which times itself as ``stage_seconds["warm"]`` under a
+        ``stage.warm`` span, so pre-warm time is attributed like any stage.
+        """
+        config = self.config
+        started = time.perf_counter()
+        try:
+            with trace.span("stage.warm"):
+                augmented = self.context.augmented_table(config.hops)
+                if config.use_offline_pruning:
+                    # Verdicts are judged lazily per column, so warm exactly
+                    # the columns queries can use as candidates — excluded
+                    # (identifier) columns of a wide table are never scanned.
+                    candidates = [name for name in augmented.column_names
+                                  if name not in config.excluded_columns]
+                    self.context.offline_pruning(
+                        candidates, hops=config.hops,
+                        max_missing_fraction=config.max_missing_fraction,
+                        high_entropy_unique_ratio=config.high_entropy_unique_ratio)
+        finally:
+            self.context.add_seconds("warm", time.perf_counter() - started)
+
     def prepare(self, query: AggregateQuery) -> QueryState:
         """Run every non-search stage for the query (memoised per query).
 
@@ -189,16 +224,15 @@ class ExplanationPipeline:
         each driving a private pipeline over a forked context, and the
         workers' cache counters merge back into this pipeline's context.
         Results come back in query order.  Process-level fan-out is the
-        serving tier's job (:class:`~repro.serving.cluster.ServiceCluster`).
+        serving tier's job (an ``ExplanationService`` over a
+        :class:`~repro.distributed.replicas.ReplicaPool`).
 
         ``trace_captures`` (one :func:`repro.obs.trace.capture` per query,
         or ``None``) re-activates each query's originating trace around
         its engine run, so a batch coalesced from several traced requests
         attributes stage/test spans to the right request.
         """
-        from repro.engine.parallel import (_warm_context,
-                                           explain_many_threaded,
-                                           resolve_n_jobs)
+        from repro.engine.parallel import explain_many_threaded, resolve_n_jobs
 
         queries = list(queries)
         jobs = resolve_n_jobs(n_jobs, default=self.config.n_jobs)
@@ -207,7 +241,7 @@ class ExplanationPipeline:
                 # Judge the whole candidate pool in one pruning pass so
                 # per-query calls (whose candidate sets differ by their
                 # own exposure/outcome) find every verdict cached.
-                _warm_context(self)
+                self.warm()
             results = []
             for index, query in enumerate(queries):
                 captured = trace_captures[index] if trace_captures else None

@@ -28,8 +28,10 @@ State machine (rows in the metastore's ``jobs`` table)::
 
 The manager is backend-agnostic: anything with ``explain(dataset, query,
 k=...)`` returning an object with an ``.envelope`` and ``warm(dataset,
-top=...)`` works — an :class:`~repro.serving.service.ExplanationService`
-and a :class:`~repro.serving.cluster.ServiceCluster` both qualify.
+top=...)`` works.  In practice that is an
+:class:`~repro.serving.service.ExplanationService` — the front tier of
+every topology, so jobs run the same way in process, over row shards and
+over engine replicas.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class JobManager:
         The shared :class:`MetaStore`; job rows and per-query results
         live here.  The manager claims work under ``store.epoch``.
     backend:
-        The serving tier that executes queries (a service or a cluster).
+        The serving tier that executes queries (a service).
     tracer:
         Optional :class:`repro.obs.trace.Tracer`; every job run records a
         request trace (``job.run``) with per-query spans.

@@ -1,20 +1,18 @@
 """Metrics: counters, gauges, latency histograms, and Prometheus text.
 
 The registry is deliberately tiny — three metric kinds, all with
-JSON-safe, *additive* state dicts so that the cluster front tier can
-merge worker snapshots exactly the way it already merges
-``context.counters``: by summing.  A :class:`Histogram` is a fixed set
-of cumulative-style buckets (we store per-bucket counts and cumulate at
-render time), which makes merging a vector add and quantile estimation
-a linear interpolation inside the winning bucket — the standard
-Prometheus client trade-off.
+JSON-safe, *additive* state dicts, so snapshots merge
+(:func:`merge_metric_states`) the way engine counters do: by summing.
+A :class:`Histogram` is a fixed set of cumulative-style buckets (we
+store per-bucket counts and cumulate at render time), which makes
+merging a vector add and quantile estimation a linear interpolation
+inside the winning bucket — the standard Prometheus client trade-off.
 
 Rendering is a pure function over a ``stats()`` snapshot
-(:func:`prometheus_text`), not over live registry objects.  That gives
-one exposition path for every topology: a single
-:class:`~repro.serving.service.ExplanationService` and a merged
-:class:`~repro.serving.cluster.ServiceCluster` both already produce the
-snapshot shape, so ``GET /metrics`` is "take ``stats()``, render".
+(:func:`prometheus_text`), not over live registry objects.  Every
+topology is one :class:`~repro.serving.service.ExplanationService`, with
+or without a worker pool behind it, so ``GET /metrics`` is "take
+``stats()``, render".
 """
 
 from __future__ import annotations
@@ -229,11 +227,11 @@ class MetricsRegistry:
 
 def merge_metric_states(states: Iterable[Optional[Sequence[Dict[str, Any]]]],
                         ) -> List[Dict[str, Any]]:
-    """Sum per-worker metric snapshots into one cluster-wide snapshot.
+    """Sum metric snapshots (say, of several processes) into one.
 
-    Counters and gauges add (a summed gauge is the cluster total — e.g.
-    queue depth across workers); histograms add bucket-wise when their
-    bucket layouts agree, which they do for every series we emit.
+    Counters and gauges add (a summed gauge is the total — e.g. queue
+    depth across processes); histograms add bucket-wise when their bucket
+    layouts agree, which they do for every series we emit.
     """
     merged: "Dict[Tuple[str, str, _LabelKey], Dict[str, Any]]" = {}
     for state in states:
@@ -374,10 +372,9 @@ def _render_cache_block(out: _Renderer, cache: Mapping[str, Any],
 def _render_memory_block(out: _Renderer, stats: Mapping[str, Any]) -> None:
     """Per-worker RSS and shared-memory frame-store gauges.
 
-    RSS must stay per-worker-labeled — ``merge_metric_states`` sums
-    gauges, and a *summed* maxrss across N workers is exactly the number
-    the frame store exists to shrink, so it is read straight off the
-    per-worker snapshots instead of the merged registry.
+    RSS stays per-worker-labeled — a *summed* maxrss across N workers
+    is exactly the number the frame store exists to shrink — so it is
+    read straight off each worker's snapshot.
     """
     if isinstance(stats.get("memory"), Mapping):
         maxrss_kb = stats["memory"].get("maxrss_kb", 0)
@@ -435,19 +432,11 @@ _WORKER_TIER_FIELDS = (
      "workers that answered the last stats probe"),
     ("worker_restarts", "repro_cluster_worker_restarts_total", "counter",
      "dead workers restarted since start"),
-    ("requests_routed", "repro_cluster_requests_routed_total", "counter",
-     "requests dispatched to workers"),
-    ("dataset_updates", "repro_cluster_dataset_updates_total", "counter",
-     "live append_rows updates applied cluster-wide"),
-    ("hedge_fired", "repro_cluster_hedge_fired_total", "counter",
-     "hedged backup requests issued"),
-    ("hedge_won", "repro_cluster_hedge_won_total", "counter",
-     "hedged backup requests answered first"),
 )
 
 
 def _render_workers_block(out: _Renderer, block: Mapping[str, Any]) -> None:
-    """A worker tier: the keys cluster's front tier or a row-shard pool."""
+    """A service's worker pool: engine replicas or row shards."""
     out.header("repro_cluster_workers", "gauge", "configured cluster workers")
     out.sample("repro_cluster_workers", {}, block.get("n_workers", 0))
     for field, metric, kind, help_text in _WORKER_TIER_FIELDS:
@@ -507,11 +496,10 @@ def _render_envelope_store_block(out: _Renderer,
 def prometheus_text(stats: Mapping[str, Any]) -> str:
     """Render a ``stats()`` snapshot as Prometheus text exposition.
 
-    Works on both snapshot shapes — a single service's and a cluster's
-    merged one — because the cluster mirrors the service's keys
-    (``contexts``, ``cache``, ``negative_cache``, ``metrics``) and adds
-    its own ``cluster`` block; a service over row shards adds a
-    ``data_plane`` block, rendered with the same worker-tier families.
+    A service with a worker pool (replicas or row shards) adds a
+    ``data_plane`` block, rendered as the ``repro_cluster_workers*``
+    families, and per-worker ``workers`` snapshots, whose RSS and
+    shared-memory attachments feed the memory gauges.
     """
     out = _Renderer()
 
@@ -547,11 +535,9 @@ def prometheus_text(stats: Mapping[str, Any]) -> str:
                            f"micro-batcher {field} since start")
                 out.sample(metric, {"dataset": dataset}, batcher[field])
 
-    # A replica cluster's front tier and a service's row-shard data plane
-    # are both worker tiers: one set of metric families covers them.
-    for block in (stats.get("cluster"), stats.get("data_plane")):
-        if isinstance(block, Mapping):
-            _render_workers_block(out, block)
+    data_plane = stats.get("data_plane")
+    if isinstance(data_plane, Mapping):
+        _render_workers_block(out, data_plane)
 
     jobs = stats.get("jobs")
     if isinstance(jobs, Mapping):

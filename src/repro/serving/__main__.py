@@ -2,21 +2,24 @@
 
 Loads evaluation datasets (synthetic table + knowledge graph) from
 :mod:`repro.datasets.registry` and serves the JSON API until interrupted.
-The ``--workers`` flag picks the topology behind the *same* HTTP handler:
+Every topology is one :class:`~repro.serving.service.ExplanationService`
+behind a :class:`~repro.serving.client.LocalClient` and the same HTTP
+handler; the ``--workers`` and ``--shard`` flags pick the pool behind it:
 
-* ``--workers 1`` (default) — one in-process
-  :class:`~repro.serving.service.ExplanationService` behind a
-  :class:`~repro.serving.client.LocalClient`;
-* ``--workers N`` — a :class:`~repro.serving.cluster.ServiceCluster` of N
-  worker processes behind a :class:`~repro.serving.cluster.ClusterClient`:
-  requests shard by the stable hash of their canonical query key, so each
-  worker's caches stay hot for its key range and throughput scales past
-  one GIL.
-* ``--workers N --shard rows`` — one in-process service again, whose
-  engine counts through a :class:`~repro.distributed.coordinator.ShardPool`
-  of N workers that shard the *data* instead of the requests: each holds
-  one contiguous row range and answers partial-count / partial-IRLS jobs,
-  so the service can serve tables no single worker could hold in memory.
+* ``--workers 1`` (default) — no pool: the engine runs in process;
+* ``--workers N`` — a :class:`~repro.distributed.replicas.ReplicaPool` of
+  N engine replicas: each cache miss runs on the replica its canonical
+  query key routes to (by stable hash), so each replica's caches stay hot
+  for its key range and compute scales past one GIL, while the service
+  keeps one envelope cache of ``--cache-size`` x N entries;
+* ``--workers N --shard rows`` — a
+  :class:`~repro.distributed.coordinator.ShardPool` of N workers that
+  shard the *data* instead of the requests: each holds one contiguous row
+  range and answers partial-count / partial-IRLS jobs, so the service can
+  serve tables no single worker could hold in memory.
+
+``--store`` (durable envelopes, jobs, live appends) and ``--coalesce-window``
+apply to every topology alike.
 
 ::
 
@@ -41,10 +44,10 @@ import sys
 
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.distributed.coordinator import ShardPool
+from repro.distributed.replicas import ReplicaPool
 from repro.engine.config import MESAConfig
 from repro.obs.logs import JsonLogFormatter
 from repro.serving.client import LocalClient
-from repro.serving.cluster import ClusterClient, ServiceCluster
 from repro.serving.http import serve_forever
 from repro.serving.service import ExplanationService
 
@@ -88,11 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8080,
                         help="Listen port (0 picks a free one)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="Serving processes: 1 = in-process service, "
-                             "N > 1 = sharded worker cluster")
+                        help="Worker processes behind the service: 1 = the "
+                             "engine runs in process, N > 1 = a pool of N "
+                             "workers (see --shard)")
     parser.add_argument("--shard", choices=("keys", "rows"), default="keys",
-                        help="Cluster sharding axis: 'keys' replicates the "
-                             "data and routes requests by query key; 'rows' "
+                        help="What the N workers split: 'keys' runs engine "
+                             "replicas that each hold the data and take the "
+                             "cache misses their query keys route to; 'rows' "
                              "splits each table into row ranges and "
                              "scatter-gathers partial counts (needs "
                              "--workers > 1)")
@@ -104,28 +109,26 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto",
                         help="Shared-memory frame store: hold the encoded "
                              "dataset in POSIX shared segments that workers "
-                             "map read-only instead of copying ('auto' = on "
-                             "for multi-worker clusters when /dev/shm works; "
-                             "silently falls back to the copy path otherwise)")
+                             "map read-only instead of copying ('auto' and "
+                             "'on' = on for --workers > 1 when /dev/shm "
+                             "works; silently falls back to the copy path "
+                             "otherwise)")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="SQLite path for the durable metastore: "
                              "envelopes survive restarts (warm-start), "
                              "POST /jobs and POST /append_rows come alive, "
                              "and killed jobs resume from their completed "
                              "prefix on the next start")
-    parser.add_argument("--hedge", action="store_true",
-                        help="Hedge straggling cluster requests: after a "
-                             "p99-derived delay re-issue the request to a "
-                             "second replica and answer with whichever "
-                             "returns first (keys-sharded clusters only)")
     parser.add_argument("--cache-size", type=int, default=4096,
-                        help="Bound on the explanation cache (per worker)")
+                        help="Explanation-cache entries per worker: the "
+                             "service's one cache holds --cache-size x "
+                             "--workers envelopes over a replica pool")
     parser.add_argument("--ttl", type=float, default=None,
                         help="Optional TTL (seconds) for cached explanations")
     parser.add_argument("--coalesce-window", type=float, default=0.005,
                         help="Micro-batching window in seconds of the "
-                             "in-process service (replica workers batch "
-                             "without a window)")
+                             "service's batchers (one per dataset, or one "
+                             "per replica and dataset)")
     parser.add_argument("--n-jobs", type=int, default=1,
                         help="Engine workers per coalesced batch (-1 = all CPUs)")
     parser.add_argument("--log-level", choices=_LOG_LEVELS, default="info",
@@ -153,40 +156,32 @@ def main(argv=None) -> None:
         excluded_columns=tuple(bundle.id_columns), n_jobs=args.n_jobs)
         for bundle in bundles}
 
-    if args.workers == 1 or args.shard == "rows":
-        shard_pool = None
-        if args.workers > 1:
-            log.info("starting %d row-shard worker processes",
-                     args.workers)
-            shard_pool = ShardPool(n_shards=args.workers,
-                                   start_method=args.start_method,
-                                   frame_store=args.frame_store != "off")
-        service = ExplanationService(
-            cache_size=args.cache_size, ttl_seconds=args.ttl,
-            coalesce_window_seconds=args.coalesce_window,
-            store=args.store, shard_pool=shard_pool)
-        for bundle in bundles:
-            log.info("registering %s (%d rows) and warming the cross-query "
-                     "caches", bundle.name, bundle.table.n_rows)
-            service.register_bundle(bundle, config=configs[bundle.name])
-        if args.store is not None:
-            service.enable_jobs()
-        client = LocalClient(service)
-    else:
-        frame_store = {"auto": None, "on": True, "off": False}[
-            args.frame_store]
-        cluster = ServiceCluster(
-            n_workers=args.workers, start_method=args.start_method,
-            frame_store=frame_store, store_path=args.store,
-            hedge_requests=args.hedge,
-            service_kwargs={"cache_size": args.cache_size,
-                            "ttl_seconds": args.ttl})
-        for bundle in bundles:
-            cluster.register_bundle(bundle, config=configs[bundle.name])
-        log.info("starting %d replica worker processes (%s) for %s",
-                 args.workers, cluster.start_method,
-                 [bundle.name for bundle in bundles])
-        client = ClusterClient(cluster)
+    pool = None
+    cache_size = args.cache_size
+    if args.workers > 1:
+        frame_store = args.frame_store != "off"
+        if args.shard == "rows":
+            log.info("starting %d row-shard worker processes", args.workers)
+            pool = ShardPool(n_shards=args.workers,
+                             start_method=args.start_method,
+                             frame_store=frame_store)
+        else:
+            log.info("starting %d engine replicas", args.workers)
+            pool = ReplicaPool(n_workers=args.workers,
+                               start_method=args.start_method,
+                               frame_store=frame_store)
+            cache_size *= args.workers
+    service = ExplanationService(
+        cache_size=cache_size, ttl_seconds=args.ttl,
+        coalesce_window_seconds=args.coalesce_window, store=args.store,
+        pool=pool)
+    for bundle in bundles:
+        log.info("registering %s (%d rows) and warming the cross-query "
+                 "caches", bundle.name, bundle.table.n_rows)
+        service.register_bundle(bundle, config=configs[bundle.name])
+    if args.store is not None:
+        service.enable_jobs()
+    client = LocalClient(service)
     slow = args.slow_query_seconds if args.slow_query_seconds > 0 else None
     serve_forever(client, host=args.host, port=args.port,
                   slow_query_seconds=slow,

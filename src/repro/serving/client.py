@@ -1,8 +1,8 @@
 """Transport-agnostic clients for the explanation serving tier.
 
 Callers should not care *where* explanations are computed — in their own
-process, behind an HTTP endpoint, or sharded over a cluster of worker
-processes.  :class:`ExplanationClient` is the one surface they program
+process, behind an HTTP endpoint, or on a pool of worker processes behind
+either.  :class:`ExplanationClient` is the one surface they program
 against:
 
 * ``explain(dataset, query, k)`` / ``explain_batch(dataset, queries, k)``
@@ -15,23 +15,21 @@ against:
 * ``close()`` releases whatever the transport holds (threads, sockets,
   worker processes).
 
-Three interchangeable implementations ship with the package:
+Two interchangeable implementations ship with the package:
 
 * :class:`LocalClient` — wraps an in-process
-  :class:`~repro.serving.service.ExplanationService`; zero transport cost,
-  one GIL.
+  :class:`~repro.serving.service.ExplanationService`; zero transport cost.
+  The service's pool decides where the engine runs: in this process, on
+  row shards, or on N engine replicas that each take the cache misses
+  their query keys route to (scaling compute beyond one GIL).
 * :class:`HTTPClient` — a dependency-free stdlib JSON client for the
   :mod:`repro.serving.http` API; talk to any remote deployment.  Keeps
   one persistent connection per calling thread (HTTP/1.1 keep-alive) and
   retries a request once on a fresh socket when a reused one went stale.
-* :class:`~repro.serving.cluster.ClusterClient` — routes requests by the
-  stable hash of their canonical query key over N local worker processes
-  (:class:`~repro.serving.cluster.ServiceCluster`), scaling beyond one GIL
-  while keeping each worker's caches hot for its key range.
 
 Because the HTTP front end (:mod:`repro.serving.http`) itself serves *any*
-client, the same handler code exposes a single process or a whole cluster —
-pick the topology with ``python -m repro.serving --workers N``.
+client, the same handler code exposes every topology — pick it with
+``python -m repro.serving --workers N [--shard rows]``.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ class ExplanationClient(ABC):
     def _no_jobs(self) -> "ConfigurationError":
         return ConfigurationError(
             "this deployment has no durable job store: construct the "
-            "service/cluster with store=<path> (or pass --store to "
+            "service with store=<path> (or pass --store to "
             "python -m repro.serving)")
 
     def submit_job(self, dataset: str, kind: str = "explain_batch",

@@ -7,17 +7,16 @@ hit the explanation caches concurrently and the backend coalesces misses.
 
 The handler is written against the transport-agnostic
 :class:`~repro.serving.client.ExplanationClient` protocol, *not* a concrete
-service: hand :func:`make_server` an in-process
+service: hand :func:`make_server` an
 :class:`~repro.serving.service.ExplanationService` (wrapped in a
-:class:`~repro.serving.client.LocalClient` automatically) or a
-:class:`~repro.serving.cluster.ClusterClient` over N worker processes and
-the same handler code serves every topology —
-``python -m repro.serving --workers N`` is exactly that switch.  The
-cluster replicates the data and routes requests by query key; ``--shard
-rows`` instead serves one in-process service whose engine splits each
-table into row ranges and scatter-gathers partial counts over a shard
-pool.  The HTTP surface is identical in all modes — only ``GET /stats``
-reveals the topology.
+:class:`~repro.serving.client.LocalClient` automatically) and the same
+handler code serves every topology, because every topology is one service
+with or without a worker pool behind it — ``python -m repro.serving
+--workers N`` is exactly that switch.  ``--workers N`` serves from N
+engine replicas, each taking the cache misses its query keys route to;
+``--shard rows`` instead splits each table into row ranges and
+scatter-gathers partial counts over a shard pool.  The HTTP surface is
+identical in all modes — only ``GET /stats`` reveals the topology.
 
 Endpoints
 ---------
@@ -59,14 +58,15 @@ Endpoints
     background re-warm job over the top recorded queries.
 ``GET /stats``
     Serving-tier observability snapshot: cache hit rates and per-dataset
-    occupancy, coalescing counters, per-dataset engine counters — and, in
-    cluster mode, the merged view plus the per-worker breakdown.
+    occupancy, coalescing counters, per-dataset engine counters — and,
+    over a worker pool, its ``data_plane`` counters plus one snapshot per
+    worker (replica engine counters fold into the per-dataset ones).
 ``GET /metrics``
     The same observability snapshot in the Prometheus text exposition
     format (``text/plain; version=0.0.4``): request/stage latency
     histograms with estimated quantiles, cache hit ratios, engine event
-    counters — scrapeable from every topology (the cluster merges worker
-    registries exactly as ``/stats`` merges counters).
+    counters, worker-pool liveness and memory gauges — scrapeable from
+    every topology.
 ``GET /trace/<id>``
     The finished span tree of one traced request as nested JSON.  Every
     ``/explain`` response carries its ``trace_id``; traces live in a
@@ -74,7 +74,7 @@ Endpoints
     ``"debug": true`` in an explain request to get the tree inline.
 ``GET /healthz``
     Liveness probe: ``{"status": "ok", "datasets": [...]}``; answers
-    **503** with ``status: "degraded"`` while any cluster worker is down.
+    **503** with ``status: "degraded"`` while any pool worker is down.
 
 Errors map to JSON bodies with an ``errors`` list: 400 for validation and
 query errors, 404 for unknown datasets and routes, 422 for missing-data
@@ -462,10 +462,9 @@ class ExplanationHTTPServer(ThreadingHTTPServer):
         #: structured slow-query log (None disables).
         self.slow_query_seconds = slow_query_seconds
         # One trace store per server process.  A local backend's service
-        # already owns a tracer — reuse it so `GET /trace/<id>` sees the
-        # same store whether a trace was started here or directly on the
-        # service; remote backends (cluster workers) ship their spans back
-        # over the wire into this tracer.
+        # already owns a tracer (its pool workers ship their spans back
+        # into it) — reuse it so `GET /trace/<id>` sees the same store
+        # whether a trace was started here or directly on the service.
         service = self.service
         self.tracer: trace.Tracer = (
             service.tracer if service is not None

@@ -26,6 +26,15 @@ registered dataset and layers the serving concerns on top:
   context's counters (``service.cache_hit`` / ``service.cache_miss`` next
   to ``extraction_runs`` and friends) and :meth:`stats` snapshots
   everything for the ``GET /stats`` endpoint.
+
+The service is the one front tier of every topology, and its ``pool``
+argument picks the data plane.  By default its pipelines run in this
+process.  Over a :class:`~repro.distributed.coordinator.ShardPool` they
+count through row-shard workers, for tables no single process should
+hold.  Over a :class:`~repro.distributed.replicas.ReplicaPool` every miss
+runs on the engine replica its canonical key routes to, one batcher per
+replica, so N processes compute while this one keeps the caches, history,
+jobs, health and metrics for all of them.
 """
 
 from __future__ import annotations
@@ -48,9 +57,16 @@ from typing import (
 )
 
 from repro.distributed.coordinator import ShardPool
+from repro.distributed.replicas import (
+    DatasetSpec,
+    ReplicaPool,
+    fold_context,
+    merge_rows,
+)
 from repro.engine.config import MESAConfig
 from repro.engine.envelope import ExplanationEnvelope
 from repro.engine.pipeline import ExplanationPipeline
+from repro.engine.stages import default_stages
 from repro.exceptions import (
     ConfigurationError,
     DatasetNotRegisteredError,
@@ -77,19 +93,6 @@ NEGATIVE_CACHE_SIZE = 256
 #: Distinct historical queries remembered per dataset for the
 #: :meth:`ExplanationService.warm` replay of top-K traffic.
 HISTORY_SIZE = 256
-
-
-def _maxrss_kb() -> int:
-    """This process's peak resident set size in KB (0 where unsupported).
-
-    Feeds the ``repro_worker_maxrss_bytes`` gauge: replica workers report
-    it through their ``stats`` op, and the single-process service reports
-    its own — the number the memory benchmark gates the frame store on.
-    Delegates to :func:`repro.obs.metrics.process_maxrss_kb`, which reads
-    ``VmHWM`` rather than ``ru_maxrss`` (spawn workers inherit the
-    parent's rusage peak on Linux, which would mask any per-worker win).
-    """
-    return process_maxrss_kb()
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,11 @@ class ExplanationService:
     tracer:
         The bounded trace store requests record into; defaults to a fresh
         :class:`repro.obs.trace.Tracer`.  A topology owner (the HTTP
-        server, a cluster worker loop) may inject a shared one.
+        server) may inject a shared one.
     metrics:
         The :class:`repro.obs.metrics.MetricsRegistry` request latency
         histograms land in; snapshots ride :meth:`stats` under
-        ``"metrics"`` and merge across workers.
+        ``"metrics"``.
     trace_requests:
         When True (default) every :meth:`explain` / :meth:`explain_batch`
         arriving *without* an active trace starts one of its own, so
@@ -171,15 +174,21 @@ class ExplanationService:
         durably so a *restarted* service re-warms its top-K traffic from
         disk instead of recomputing, and dataset versions persist so the
         restarted process mints cache keys matching what it stored.
-    shard_pool:
-        A :class:`~repro.distributed.coordinator.ShardPool` to count
-        through: the row-sharded topology, for tables no single process
-        should hold.  The service starts the pool, attaches it to every
-        pipeline it registers (before the pipeline is served, so even the
-        first explanation scatter-gathers), frees the pool's shard contexts
-        whenever it invalidates, reports the data plane in :meth:`stats`
-        and :meth:`health`, and closes the pool on :meth:`close`.
-        ``None`` (default) counts in this process.
+    pool:
+        The data plane; ``None`` (default) runs every pipeline here.  The
+        service starts the pool, reports it in :meth:`stats` and
+        :meth:`health` (``degraded`` while a worker is down) and closes it
+        on :meth:`close`.  A :class:`~repro.distributed.coordinator.
+        ShardPool` (row shards, for tables no single process should hold)
+        is attached to every pipeline before it is served, and its shard
+        contexts are freed on every invalidation.  A
+        :class:`~repro.distributed.replicas.ReplicaPool` (engine replicas,
+        for throughput past one process) gets every registered dataset
+        (custom stages cannot be replicated) and runs each cache miss on
+        the replica its version-free canonical key routes to; invalidation
+        bumps the replicas, appends update them, :meth:`warm` publishes
+        hot frames for them and :meth:`stats` folds their engine counters
+        into ``contexts``.
     """
 
     def __init__(self, cache_size: int = 1024,
@@ -191,7 +200,7 @@ class ExplanationService:
                  trace_requests: bool = True,
                  slow_query_seconds: Optional[float] = 1.0,
                  store: Optional[Union[MetaStore, str, Path]] = None,
-                 shard_pool: Optional[ShardPool] = None):
+                 pool: Optional[Union[ShardPool, ReplicaPool]] = None):
         self._clock = clock
         self.tracer = tracer if tracer is not None else trace.Tracer(
             tier="service")
@@ -203,13 +212,17 @@ class ExplanationService:
         self._negative = TTLCache(max_entries=NEGATIVE_CACHE_SIZE,
                                   ttl_seconds=ttl_seconds, clock=clock)
         self.coalesce_window_seconds = coalesce_window_seconds
-        self.shard_pool = shard_pool
+        self.pool = pool
         self._pipelines: Dict[str, ExplanationPipeline] = {}
-        self._batchers: Dict[str, MicroBatcher] = {}
+        #: Per dataset: one batcher per replica, or a single one.
+        self._batchers: Dict[str, List[MicroBatcher]] = {}
         #: Per-dataset request history: canonical key -> [query, k, hits],
         #: most recent last (bounded LRU), feeding the top-K cache warmer.
         self._history: Dict[str, "OrderedDict[Tuple, List]"] = {}
         self._lock = threading.Lock()
+        #: Names being registered: taken under the lock before a replica
+        #: pool hears of them, so a name reaches the pool at most once.
+        self._registering: set = set()
         self._started_at = clock()
         self._closed = False
         #: The most recently started background warmer thread (join in tests).
@@ -227,8 +240,8 @@ class ExplanationService:
         #: The attached :class:`~repro.jobs.JobManager` (see
         #: :meth:`enable_jobs`); ``None`` until enabled.
         self.jobs = None
-        if shard_pool is not None:
-            shard_pool.start()
+        if pool is not None:
+            pool.start()
 
     @property
     def meta(self) -> Optional[MetaStore]:
@@ -263,26 +276,38 @@ class ExplanationService:
 
         With ``warm=True`` (default) the cross-query artefacts — the
         augmented table and the offline-pruning verdicts — are built
-        immediately, so the first request pays only the per-query cost.
+        immediately (on every replica, over a replica pool), so the first
+        request pays only the per-query cost.  A name already registered,
+        or being registered by another thread, raises
+        :class:`ConfigurationError`.
         """
         if not name:
             raise ConfigurationError("dataset name must be a non-empty string")
         with self._lock:
             if self._closed:
                 raise ConfigurationError("ExplanationService is closed")
-            if name in self._pipelines:
-                raise ConfigurationError(f"dataset {name!r} is already registered")
-            if self.shard_pool is not None:
-                # Attach before the pipeline becomes visible, so no request
-                # can run on the local counts source.
-                pipeline.context.shard_pool = self.shard_pool
-                pipeline.context.shard_label = name
-            self._pipelines[name] = pipeline
-            self._history.setdefault(name, OrderedDict())
-            self._batchers[name] = MicroBatcher(
-                runner=self._runner_for(pipeline),
-                window_seconds=self.coalesce_window_seconds,
-                max_batch=MAX_BATCH, clock=self._clock)
+            if name in self._pipelines or name in self._registering:
+                raise ConfigurationError(
+                    f"dataset {name!r} is already registered")
+            self._registering.add(name)
+        try:
+            if isinstance(self.pool, ReplicaPool):
+                # Every replica holds the dataset before the front serves it.
+                self.pool.register(_replica_spec(name, pipeline, warm))
+            with self._lock:
+                if self._closed:
+                    raise ConfigurationError("ExplanationService is closed")
+                if isinstance(self.pool, ShardPool):
+                    # Attach before the pipeline becomes visible, so no
+                    # request can run on the local counts source.
+                    pipeline.context.shard_pool = self.pool
+                    pipeline.context.shard_label = name
+                self._pipelines[name] = pipeline
+                self._history.setdefault(name, OrderedDict())
+                self._batchers[name] = self._new_batchers(name, pipeline)
+        finally:
+            with self._lock:
+                self._registering.discard(name)
         # Re-registration of a context that served before (its version
         # moved past the initial 0) bumps the version, so canonical keys
         # minted against the earlier registration can never answer
@@ -342,15 +367,19 @@ class ExplanationService:
              k: Optional[int] = None) -> int:
         """Build the dataset's cross-query artefacts and replay hot queries.
 
-        The artefact half (augmented table, offline-pruning verdicts) is
-        idempotent and always runs synchronously.  The *replay* half then
+        The artefact half (:meth:`ExplanationPipeline.warm`: augmented
+        table, offline-pruning verdicts) is idempotent and runs
+        synchronously; over a replica pool the replicas built theirs at
+        registration, so it is skipped here.  The *replay* half then
         pushes explanations back into the result caches: ``queries`` names
         them explicitly, or — with ``queries=None`` — the ``top`` most
         requested queries from the dataset's recorded history are replayed
-        (the cold-start cure after :meth:`clear_cache` or a cluster worker
-        restart).  Each replay is an ordinary :meth:`explain`, so every
-        cache layer (frame, fit, envelope) warms exactly as live traffic
-        would; replay failures are swallowed — warming is best-effort.
+        (the cold-start cure after :meth:`clear_cache` or a restart).
+        Over a replica pool with a frame store, the replay set's context
+        frames are first encoded once and published for every replica to
+        adopt.  Each replay is an ordinary :meth:`explain`, so every cache
+        layer (frame, fit, envelope) warms exactly as live traffic would;
+        replay failures are swallowed — warming is best-effort.
 
         With ``background=True`` the replay runs on a daemon thread (the
         thread object is stored on ``self.last_warmer`` for tests to join)
@@ -358,17 +387,9 @@ class ExplanationService:
         it returns the number successfully replayed.
         """
         pipeline = self.pipeline(name)
-        config = pipeline.config
-        augmented = pipeline.context.augmented_table(config.hops)
-        if config.use_offline_pruning:
-            # Lazy per-column verdicts: warm the candidate-eligible columns
-            # only; excluded (identifier) columns are never scanned.
-            candidates = [column_name for column_name in augmented.column_names
-                          if column_name not in config.excluded_columns]
-            pipeline.context.offline_pruning(
-                candidates, hops=config.hops,
-                max_missing_fraction=config.max_missing_fraction,
-                high_entropy_unique_ratio=config.high_entropy_unique_ratio)
+        replicas = isinstance(self.pool, ReplicaPool)
+        if not replicas:
+            pipeline.warm()
         if queries is not None:
             replay: List[Tuple] = [(query, k) for query in queries]
         else:
@@ -377,6 +398,9 @@ class ExplanationService:
             return 0
 
         def run_replay() -> int:
+            if replicas:
+                self.pool.publish_frames(
+                    name, [query for query, _replay_k in replay])
             warmed = 0
             for query, replay_k in replay:
                 try:
@@ -467,12 +491,11 @@ class ExplanationService:
         """Append rows to a registered dataset, invalidating coherently.
 
         The appended table replaces the dataset's pipeline under a bumped
-        dataset version, so every version-keyed cache — the in-process
-        envelope/negative caches, other processes' caches in a cluster,
-        the encoded-frame cache — stops serving pre-append artefacts the
-        moment the new version appears in freshly minted keys.  With
-        ``rewarm`` (default) a background re-warm of the dataset's top-K
-        recorded queries follows: as a durable job when a
+        dataset version, so every version-keyed cache — the envelope and
+        negative caches, the encoded-frame cache — stops serving
+        pre-append artefacts the moment the new version appears in freshly
+        minted keys.  With ``rewarm`` (default) a background re-warm of the
+        dataset's top-K recorded queries follows: as a durable job when a
         :class:`~repro.jobs.JobManager` is attached (see
         :meth:`enable_jobs`), otherwise on a daemon thread.
 
@@ -482,26 +505,28 @@ class ExplanationService:
         if not rows:
             raise QueryError("append_rows requires a non-empty list of "
                              "row mappings")
-        pipeline = self.pipeline(name)
-        table = pipeline.context.table
-        extra = Table.from_rows(list(rows),
-                                columns=list(table.column_names),
-                                name=table.name)
-        merged = table.concat_rows(extra)
+        rows = list(rows)
+        merged = merge_rows(self.pipeline(name).context.table, rows)
         return self.replace_table(name, merged, rewarm=rewarm, top=top,
-                                  appended=len(rows))
+                                  appended_rows=rows)
 
     def replace_table(self, name: str, table: Table, rewarm: bool = True,
-                      top: int = 8, appended: int = 0) -> Dict[str, object]:
+                      top: int = 8,
+                      appended_rows: Optional[Sequence[Mapping]] = None,
+                      ) -> Dict[str, object]:
         """Swap a dataset's table for a new one under a bumped version.
 
-        The machinery behind :meth:`append_rows` (and the cluster's
-        frame-store update path, which hands workers a zero-copy manifest
-        table).  The old pipeline's knowledge graph, extraction specs,
-        config and shard-pool attachment carry over; its batcher is torn
-        down and rebuilt because the runner closure binds the pipeline.
+        The machinery behind :meth:`append_rows`, which passes the rows it
+        appended as ``appended_rows`` (a replica pool then ships only those
+        on its copy path).  The old pipeline's knowledge graph, extraction
+        specs, config and shard-pool attachment carry over; its batchers
+        are torn down and rebuilt because their runners bind the pipeline.
+        Replicas switch tables before the new version becomes visible, so
+        no key of the new version can be computed over the old rows.
         """
         old = self.pipeline(name)
+        if isinstance(self.pool, ReplicaPool):
+            self.pool.update(name, table, rows=appended_rows)
         version = old.context.dataset_version + 1
         pipeline = ExplanationPipeline(table, old.context.knowledge_graph,
                                        old.context.extraction_specs,
@@ -515,16 +540,13 @@ class ExplanationService:
             if self._closed:
                 raise ConfigurationError("ExplanationService is closed")
             self._pipelines[name] = pipeline
-            old_batcher = self._batchers.get(name)
-            self._batchers[name] = MicroBatcher(
-                runner=self._runner_for(pipeline),
-                window_seconds=self.coalesce_window_seconds,
-                max_batch=MAX_BATCH, clock=self._clock)
-        if old_batcher is not None:
+            old_batchers = self._batchers.get(name, [])
+            self._batchers[name] = self._new_batchers(name, pipeline)
+        for old_batcher in old_batchers:
             old_batcher.close()
-        if self.shard_pool is not None:
+        if isinstance(self.pool, ShardPool):
             # Free the old version's shard contexts now, not at eviction.
-            self.shard_pool.drop_all_contexts()
+            self.pool.drop_all_contexts()
         pipeline.context.count("service.dataset_updates")
         if self._meta is not None:
             self._meta.record_dataset_version(name, version)
@@ -534,7 +556,7 @@ class ExplanationService:
                 rewarm_job = self.jobs.submit(name, kind="warm", top=top)
             else:
                 self.warm(name, top=top, background=True)
-        return {"dataset": name, "appended": int(appended),
+        return {"dataset": name, "appended": len(appended_rows or ()),
                 "n_rows": table.n_rows, "dataset_version": version,
                 "rewarm_job": rewarm_job}
 
@@ -673,7 +695,8 @@ class ExplanationService:
             return ServedExplanation(dataset=dataset, envelope=stored,
                                      cache_hit=True)
         pipeline.context.count("service.cache_miss")
-        future, attached = self._batcher(dataset).submit(key, query, resolved_k)
+        future, attached = self._batcher(dataset, key).submit(
+            key, query, resolved_k)
         try:
             envelope = future.result()
         except Exception as error:
@@ -774,9 +797,9 @@ class ExplanationService:
             pipeline.context.count("service.cache_hit", hits)
         if misses:
             pipeline.context.count("service.cache_miss", len(misses))
-            batcher = self._batcher(dataset)
             futures = [(index, key,
-                        batcher.submit(key, query, resolved_k))
+                        self._batcher(dataset, key).submit(
+                            key, query, resolved_k))
                        for index, query, key in misses]
             for index, key, (future, attached) in futures:
                 try:
@@ -800,21 +823,27 @@ class ExplanationService:
         The shared explanation/negative caches additionally report their
         occupancy *per dataset* (the dataset is the first component of
         every canonical query key), and each dataset context reports its
-        current version — what a cluster front tier merges into its
-        per-worker stats view.
+        current version.  A dataset's ``batchers`` entry sums its
+        per-replica batchers.  Over a pool, ``data_plane`` holds the pool
+        counters, ``frame_store`` its shared-memory store and ``workers``
+        one snapshot per worker; replicas' engine counters fold into
+        ``contexts``.
         """
         with self._lock:
             pipelines = dict(self._pipelines)
             batchers = dict(self._batchers)
+        pool = self.pool.stats() if self.pool is not None else None
         contexts = {}
         for name, pipeline in pipelines.items():
             counters, stage_seconds = pipeline.context.observability_snapshot()
-            contexts[name] = {
-                "counters": counters,
-                "stage_seconds": {stage: round(seconds, 6)
-                                  for stage, seconds in stage_seconds.items()},
-                "dataset_version": pipeline.context.dataset_version,
-            }
+            context = {"counters": counters, "stage_seconds": stage_seconds}
+            if pool is not None and name in pool.get("contexts", {}):
+                fold_context(context, pool["contexts"][name])
+            context["stage_seconds"] = {
+                stage: round(seconds, 6)
+                for stage, seconds in context["stage_seconds"].items()}
+            context["dataset_version"] = pipeline.context.dataset_version
+            contexts[name] = context
         cache_stats = self._cache.stats()
         cache_stats["by_dataset"] = self._cache.sizes_by(lambda key: key[0])
         negative_stats = self._negative.stats()
@@ -824,45 +853,43 @@ class ExplanationService:
             "datasets": sorted(pipelines),
             "cache": cache_stats,
             "negative_cache": negative_stats,
-            "batchers": {name: batcher.stats()
-                         for name, batcher in batchers.items()},
+            "batchers": {name: _sum_stats(batcher.stats()
+                                          for batcher in dataset_batchers)
+                         for name, dataset_batchers in batchers.items()},
             "contexts": contexts,
             "metrics": self.metrics.state(),
             "tracing": self.tracer.stats(),
-            "memory": {"maxrss_kb": _maxrss_kb()},
+            "memory": {"maxrss_kb": process_maxrss_kb()},
         }
         if self._envelopes is not None:
             snapshot["envelope_store"] = self._envelopes.stats()
         if self.jobs is not None:
             snapshot["jobs"] = self.jobs.stats()
-        if self.shard_pool is not None:
-            # The data plane: pool counters, its shared-memory store and
-            # one snapshot per row shard (role, resident rows).
-            pool = self.shard_pool.stats()
-            snapshot["data_plane"] = dict(
-                pool["pool"], n_workers=self.shard_pool.n_shards,
-                workers_alive=self.shard_pool.alive_workers())
+        if pool is not None:
+            # The data plane: pool counters and liveness, its shared-memory
+            # store and one snapshot per worker (role, resident rows).
+            snapshot["data_plane"] = pool["pool"]
             snapshot["frame_store"] = pool["pool"]["frame_store"]
             snapshot["workers"] = pool["workers"]
         return snapshot
 
     def health(self) -> Dict[str, object]:
-        """Liveness verdict: up while open — degraded while a shard is down.
+        """Liveness verdict: up while open — degraded while a worker is down.
 
-        Shard liveness uses the cheap non-blocking process check; a ping
-        would queue behind an in-progress scatter and stall the probe.  A
-        dead shard is respawned by the next request that reaches it.
+        Worker liveness uses the cheap non-blocking process check; a ping
+        would queue behind an in-progress request and stall the probe.  A
+        dead worker is respawned by the next request that reaches it.
         """
         with self._lock:
             closed = self._closed
             datasets = sorted(self._pipelines)
         health: Dict[str, object] = {"status": "down" if closed else "ok",
                                      "datasets": datasets}
-        if self.shard_pool is not None:
-            alive = 0 if closed else self.shard_pool.alive_workers()
-            health["workers_alive"] = alive
-            health["n_workers"] = self.shard_pool.n_shards
-            if not closed and alive < self.shard_pool.n_shards:
+        if self.pool is not None:
+            liveness = self.pool.liveness()
+            health.update(liveness)
+            if not closed and \
+                    liveness["workers_alive"] < liveness["n_workers"]:
                 health["status"] = "degraded"
         return health
 
@@ -870,11 +897,11 @@ class ExplanationService:
         """Invalidate every cache layer for every dataset, coherently.
 
         Besides dropping the local envelope and error-verdict entries, each
-        dataset's version is bumped — so version-keyed caches *anywhere*
-        (this process's encoded-frame cache, other processes' envelope
-        caches in a cluster once they observe the bump) stop serving
-        pre-invalidation artefacts.  Counters and recorded query history
-        are kept: :meth:`warm` can replay the top-K history to refill.
+        dataset's version is bumped — here and on every replica — so
+        version-keyed caches *anywhere* (encoded-frame caches, stored
+        envelopes) stop serving pre-invalidation artefacts.  Counters and
+        recorded query history are kept: :meth:`warm` can replay the top-K
+        history to refill.
         """
         with self._lock:
             pipelines = dict(self._pipelines)
@@ -887,13 +914,15 @@ class ExplanationService:
                     name, pipeline.context.dataset_version)
         self._cache.clear()
         self._negative.clear()
-        if self.shard_pool is not None:
+        if isinstance(self.pool, ShardPool):
             # The bumps age the shard contexts out of the pool's LRU;
             # dropping them now frees worker memory immediately.
-            self.shard_pool.drop_all_contexts()
+            self.pool.drop_all_contexts()
+        elif isinstance(self.pool, ReplicaPool):
+            self.pool.bump()
 
     def close(self) -> None:
-        """Stop the per-dataset batcher threads; the service stops serving.
+        """Stop the batcher threads and the pool; the service stops serving.
 
         With durability attached this is the graceful-shutdown path: the
         job worker checkpoints an in-flight RUNNING job back to PENDING
@@ -904,13 +933,14 @@ class ExplanationService:
             if self._closed:
                 return
             self._closed = True
-            batchers = list(self._batchers.values())
+            batchers = [batcher for dataset_batchers in self._batchers.values()
+                        for batcher in dataset_batchers]
         if self.jobs is not None:
             self.jobs.close(checkpoint=True)
         for batcher in batchers:
             batcher.close()
-        if self.shard_pool is not None:
-            self.shard_pool.close()
+        if self.pool is not None:
+            self.pool.close()
         if self._meta is not None:
             self._meta.flush()
             if self._owns_meta:
@@ -925,12 +955,29 @@ class ExplanationService:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _batcher(self, dataset: str) -> MicroBatcher:
+    def _batcher(self, dataset: str, key: Tuple) -> MicroBatcher:
+        """The batcher a miss of ``key`` goes to: its replica's, if any."""
         with self._lock:
-            batcher = self._batchers.get(dataset)
-        if batcher is None:  # pragma: no cover - register() keeps them paired
+            batchers = self._batchers.get(dataset)
+        if batchers is None:  # pragma: no cover - register() keeps them paired
             raise DatasetNotRegisteredError(f"dataset {dataset!r} is not registered")
-        return batcher
+        if not isinstance(self.pool, ReplicaPool):
+            return batchers[0]
+        return batchers[self.pool.route(key[:-1])]
+
+    def _new_batchers(self, name: str,
+                      pipeline: ExplanationPipeline) -> List[MicroBatcher]:
+        """One batcher per replica (a slow batch on one replica never holds
+        back another's misses), or one running ``pipeline`` here."""
+        if isinstance(self.pool, ReplicaPool):
+            runners = [self._replica_runner(index, name)
+                       for index in range(self.pool.n_workers)]
+        else:
+            runners = [self._runner_for(pipeline)]
+        return [MicroBatcher(runner=runner,
+                             window_seconds=self.coalesce_window_seconds,
+                             max_batch=MAX_BATCH, clock=self._clock)
+                for runner in runners]
 
     @staticmethod
     def _runner_for(pipeline: ExplanationPipeline):
@@ -941,3 +988,55 @@ class ExplanationService:
             return pipeline.explain_many_envelopes(
                 list(queries), k=k, trace_captures=trace_captures)
         return run_batch
+
+    def _replica_runner(self, index: int, dataset: str):
+        pool = self.pool
+
+        def run_batch(queries: Sequence[AggregateQuery],
+                      k: Optional[int],
+                      trace_captures: Optional[Sequence] = None,
+                      ) -> Sequence[ExplanationEnvelope]:
+            # One round trip per trace: a round trip joins one trace (its
+            # rpc span, and the replica's spans shipped back under it), so
+            # traced requests coalesced into this batch keep their own
+            # replica spans.  Untraced misses share one round trip.
+            captures = trace_captures or [None] * len(queries)
+            by_trace: Dict[Optional[str], List[int]] = {}
+            for position, capture in enumerate(captures):
+                by_trace.setdefault(capture and capture.trace_id,
+                                    []).append(position)
+            envelopes: List = [None] * len(queries)
+            for positions in by_trace.values():
+                with trace.activation(captures[positions[0]]):
+                    served = pool.explain_many(
+                        index, dataset,
+                        [queries[position] for position in positions], k)
+                for position, envelope in zip(positions, served):
+                    envelopes[position] = envelope
+            return envelopes
+        return run_batch
+
+
+def _replica_spec(name: str, pipeline: ExplanationPipeline,
+                  warm: bool) -> DatasetSpec:
+    """What every replica needs to rebuild ``pipeline``: its table, knowledge
+    graph, extraction specs and effective config."""
+    if [(type(stage), vars(stage)) for stage in pipeline.stages] != \
+            [(type(stage), vars(stage)) for stage in default_stages()]:
+        raise ConfigurationError(
+            "a replica pool builds pipelines from the default stages; a "
+            "pipeline with custom stages cannot be replicated")
+    context = pipeline.context
+    return DatasetSpec(name=name, table=context.table,
+                       knowledge_graph=context.knowledge_graph,
+                       extraction_specs=context.extraction_specs,
+                       config=pipeline.config, warm=warm)
+
+
+def _sum_stats(snapshots) -> Dict[str, int]:
+    """Sum batcher stats snapshots field by field."""
+    total: Dict[str, int] = {}
+    for snapshot in snapshots:
+        for field, value in snapshot.items():
+            total[field] = total.get(field, 0) + value
+    return total

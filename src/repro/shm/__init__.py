@@ -1,9 +1,10 @@
 """Zero-copy shared-memory frame store.
 
-The serving tier's memory problem is multiplicative: every replica worker
-of a :class:`~repro.serving.cluster.ServiceCluster` holds a full copy of
-each registered table, and every worker re-encodes the same hot contexts
-the others already encoded.  A box that could run 32 workers runs 4.
+The serving tier's memory problem is multiplicative: every engine replica
+of a :class:`~repro.distributed.replicas.ReplicaPool` would hold a full
+copy of each registered table, and every replica would re-encode the same
+hot contexts the others already encoded.  A box that could run 32 workers
+runs 4.
 
 This package collapses per-worker residency to O(1).  The owner process
 packs the dataset's storage arrays — numeric value arrays, missing masks,

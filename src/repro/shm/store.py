@@ -1,9 +1,12 @@
 """The owner-side segment registry: generations, refcounts, unlink.
 
-A :class:`FrameStore` lives in the process that *owns* the data — the
-replica cluster's front tier, or the shard pool that creates one.  It
-creates segments, hands out manifests, and answers the one lifecycle
-question that matters: *when is it safe to unlink?*
+A :class:`FrameStore` lives in the process that *owns* the data: the
+serving front, inside the worker pool that creates one — a
+:class:`~repro.distributed.replicas.ReplicaPool` (whole tables and hot
+context frames) or a :class:`~repro.distributed.coordinator.ShardPool`
+(the columns of each shard context).  It creates segments, hands out
+manifests, and answers the one lifecycle question that matters: *when is
+it safe to unlink?*
 
 Segments are grouped into **generations**, keyed by whatever identity the
 consumer's cache layer already uses (a dataset's registration, a frame
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.shm.manifest import (
     FrameColumnManifest,
@@ -152,22 +155,6 @@ class FrameStore:
                 return
             record.retired = True
             self._maybe_unlink_locked(record)
-
-    def retire_matching(self, predicate: Callable[[Any], bool]) -> List[Any]:
-        """Retire every generation whose key satisfies ``predicate``."""
-        with self._lock:
-            matched = [record for record in list(self._generations.values())
-                       if predicate(record.key)]
-            for record in matched:
-                record.retired = True
-                self._maybe_unlink_locked(record)
-            return [record.key for record in matched]
-
-    def generation_segments(self, generation: Any) -> List[str]:
-        """Segment names currently held by ``generation`` (empty if gone)."""
-        with self._lock:
-            record = self._generations.get(generation)
-            return list(record.segments) if record is not None else []
 
     def generations(self) -> List[Any]:
         """Keys of the live (not yet unlinked) generations."""

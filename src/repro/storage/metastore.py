@@ -13,10 +13,11 @@ Design constraints, in order:
   re-queued by :meth:`requeue_stale_running`.  Completed per-query job
   results live in ``job_results`` keyed by position, so a resumed job
   skips its completed prefix.
-* **Multi-process friendly.**  WAL mode plus a busy timeout lets a
-  cluster front tier and N worker processes share the file: one write
-  connection per process, many read connections, no cross-process
-  coordination beyond SQLite's own locking.
+* **Multi-process friendly.**  WAL mode plus a busy timeout lets several
+  processes share the file (a restarted server and the one it replaces,
+  tests and tools reading it): one write connection per process, many
+  read connections, no cross-process coordination beyond SQLite's own
+  locking.
 
 The schema (one row per envelope / query / dataset / job):
 
@@ -113,7 +114,7 @@ class _ForkGate:
     with no thread left to unlock them — the child then deadlocks forever
     on its very first ``sqlite3.connect``.  (Observed in practice: the
     metastore writer thread opening its connection while the serving
-    cluster forks a worker.)
+    front forks a pool worker.)
 
     Every SQLite touchpoint in this module enters the gate as a *reader*
     (``with _FORK_GATE:``), and an ``os.register_at_fork`` before-handler

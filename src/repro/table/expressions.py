@@ -369,8 +369,8 @@ def stable_key_digest(key: Sequence) -> int:
     """A process-stable 64-bit digest of a canonical cache key.
 
     Python's builtin ``hash`` is salted per process, so it cannot route a
-    canonical query key consistently across the processes of a serving
-    cluster (or across restarts).  This digest hashes the ``repr`` of the
+    canonical query key consistently to the engine replicas of a serving
+    front (or across restarts).  This digest hashes the ``repr`` of the
     key tuple — canonical keys are built from plain strings, numbers and
     ``None``, whose reprs are deterministic — so every process maps the
     same key to the same shard.

@@ -1,16 +1,20 @@
-"""Tests for the transport-agnostic client API and the serving cluster.
+"""Tests for the transport-agnostic client API and the replica topology.
 
 The heart of this file is the **shared contract suite**: one set of tests
-parametrized over all three :class:`~repro.serving.client.ExplanationClient`
-implementations (local service, HTTP, sharded cluster), asserting the same
-behaviour — and byte-identical canonical envelopes — regardless of
-transport.  Cluster-specific behaviour (stable routing, merged stats,
-worker restart with request retry, coherent cross-process invalidation)
-and the serving-path defaults (permutation early exit) are covered below.
+parametrized over three deployments behind the
+:class:`~repro.serving.client.ExplanationClient` API (a local service, the
+same over HTTP, and a service over a
+:class:`~repro.distributed.replicas.ReplicaPool` of engine replicas),
+asserting the same behaviour — and byte-identical canonical envelopes —
+regardless of transport.  Replica-specific behaviour (stable routing,
+folded stats, per-replica batchers, replica restart with request retry,
+coherent cross-process invalidation) and the serving-path defaults
+(permutation early exit) are covered below.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import threading
@@ -19,8 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.distributed.coordinator import ShardPool
+from repro.distributed import ReplicaPool, ShardPool
 from repro.engine import ExplanationPipeline
+from repro.engine.stages import default_stages
 from repro.exceptions import (
     ConfigurationError,
     DatasetNotRegisteredError,
@@ -30,11 +35,9 @@ from repro.exceptions import (
 from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
 from repro.serving import (
-    ClusterClient,
     ExplanationService,
     HTTPClient,
     LocalClient,
-    ServiceCluster,
     context_clauses,
     make_server,
     query_payload,
@@ -88,11 +91,50 @@ def http_client(covid_bundle):
     service.close()
 
 
+def _replica_service(bundle, n_workers: int = 2,
+                     **pool_kwargs) -> ExplanationService:
+    """A service over ``n_workers`` replicas, the bundle registered.
+
+    The frame store is on above one replica, as the CLI has it by default.
+    """
+    pool_kwargs.setdefault("frame_store", n_workers > 1)
+    service = ExplanationService(
+        coalesce_window_seconds=0.0,
+        pool=ReplicaPool(n_workers=n_workers, **pool_kwargs))
+    service.register_bundle(bundle, config=_config(bundle))
+    return service
+
+
+def _routing_key(query, k=3):
+    return ExplanationService.query_key(DATASET, query, k)[:-1]
+
+
+def _engine_envelope(bundle, query, k=3):
+    """The envelope a fresh in-process engine gives for ``query``."""
+    fresh = ExplanationPipeline(bundle.table, bundle.knowledge_graph,
+                                bundle.extraction_specs, config=_config(bundle))
+    return fresh.explain(query, k=k).to_envelope()
+
+
+def _routed_to(pool, query, index, k=3):
+    """``query`` renamed until its canonical key routes to replica ``index``."""
+    for attempt in range(256):
+        renamed = dataclasses.replace(query, name=f"routed-{attempt}")
+        if pool.route(_routing_key(renamed, k)) == index:
+            return renamed
+    raise AssertionError(f"no renaming routes to replica {index}")
+
+
+def _wait_dead(process) -> None:
+    deadline = time.monotonic() + 10.0
+    while process.is_alive():
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+
+
 @pytest.fixture(scope="module")
 def cluster_client(covid_bundle):
-    cluster = ServiceCluster(n_workers=2)
-    cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-    with ClusterClient(cluster) as client:
+    with LocalClient(_replica_service(covid_bundle)) as client:
         yield client
 
 
@@ -150,8 +192,7 @@ class TestClientContract:
         assert warmed == len(covid_queries)
         # Warming replays with the dataset's default k (3 here) — live
         # traffic asking for the same budget explicitly must hit the
-        # warmed entries (in cluster mode this also means warm routed to
-        # the same shard live requests hash to).
+        # warmed entries (one canonical key, whatever the topology).
         served = client.explain_batch(DATASET, covid_queries, k=3)
         assert all(one.cache_hit for one in served)
         assert all(one.cache_hit
@@ -235,45 +276,89 @@ class TestWireFormat:
 
 
 # --------------------------------------------------------------------------- #
-# cluster behaviour
+# replica behaviour
 # --------------------------------------------------------------------------- #
 class TestClusterRouting:
     def test_routing_is_stable_and_process_independent(self, covid_queries):
-        """Same canonical key -> same shard, on any front tier instance."""
-        a = ServiceCluster(n_workers=4)
-        b = ServiceCluster(n_workers=4)
+        """Same canonical key -> same replica, on any pool instance."""
+        a = ReplicaPool(n_workers=4)
+        b = ReplicaPool(n_workers=4)
         for query in covid_queries:
-            key = ServiceCluster.routing_key(DATASET, query, 3)
-            assert a.worker_index(key) == b.worker_index(key)
-            assert a.worker_index(key) == stable_key_digest(key) % 4
+            key = _routing_key(query)
+            assert a.route(key) == b.route(key)
+            assert a.route(key) == stable_key_digest(key) % 4
 
     def test_clause_order_shares_a_shard(self):
         first = AggregateQuery(exposure="A", outcome="B",
                                context=And(Eq("X", 1), Eq("Y", 2)))
         second = AggregateQuery(exposure="A", outcome="B",
                                 context=And(Eq("Y", 2), Eq("X", 1)))
-        cluster = ServiceCluster(n_workers=8)
-        assert cluster.worker_index(cluster.routing_key("D", first, 3)) == \
-            cluster.worker_index(cluster.routing_key("D", second, 3))
+        pool = ReplicaPool(n_workers=8)
+        assert pool.route(_routing_key(first)) == \
+            pool.route(_routing_key(second))
 
     def test_keys_spread_over_workers(self):
-        cluster = ServiceCluster(n_workers=4)
+        pool = ReplicaPool(n_workers=4)
         shards = {
-            cluster.worker_index(ServiceCluster.routing_key(
-                "D",
-                AggregateQuery(exposure=f"E{i}", outcome="O"),
-                3))
+            pool.route(_routing_key(
+                AggregateQuery(exposure=f"E{i}", outcome="O")))
             for i in range(64)}
         assert len(shards) == 4
 
-    def test_unstarted_and_invalid_cluster_rejected(self, covid_queries):
-        cluster = ServiceCluster(n_workers=2)
+    def test_unstarted_and_invalid_cluster_rejected(self, covid_bundle,
+                                                    covid_queries):
+        pool = ReplicaPool(n_workers=2)
         with pytest.raises(ConfigurationError):
-            cluster.explain(DATASET, covid_queries[0], k=3)
+            pool.explain_many(0, DATASET, covid_queries[:1], 3)
         with pytest.raises(ConfigurationError):
-            cluster.start()  # no datasets registered
-        with pytest.raises(ConfigurationError):
-            ServiceCluster(n_workers=0)
+            ReplicaPool(n_workers=0)
+        # Replicas rebuild pipelines from the default stages only.
+        service = ExplanationService(pool=pool)
+        try:
+            custom = ExplanationPipeline(
+                covid_bundle.table, covid_bundle.knowledge_graph,
+                covid_bundle.extraction_specs, config=_config(covid_bundle),
+                stages=default_stages()[:-1])
+            with pytest.raises(ConfigurationError):
+                service.register(DATASET, custom)
+            assert service.datasets() == []
+        finally:
+            service.close()
+
+    def test_one_name_reaches_the_pool_once(self, covid_bundle):
+        """A registration racing another of the same name fails before the
+        pool hears of it, and the pool refuses a name it holds."""
+        pool = ReplicaPool(n_workers=1)
+        service = ExplanationService(coalesce_window_seconds=0.0, pool=pool)
+        original = pool.register
+        specs, entered, release = [], threading.Event(), threading.Event()
+
+        def gated(spec):
+            specs.append(spec)
+            if len(specs) == 1:
+                entered.set()
+                assert release.wait(120.0)
+            return original(spec)
+
+        pool.register = gated
+        config = _config(covid_bundle)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                first = executor.submit(service.register_bundle,
+                                        covid_bundle, config, False)
+                assert entered.wait(60.0)
+                with pytest.raises(ConfigurationError):
+                    service.register_bundle(covid_bundle, config=config,
+                                            warm=False)
+                release.set()
+                first.result(timeout=120.0)
+            assert len(specs) == 1
+            assert service.datasets() == [DATASET]
+            with pytest.raises(ConfigurationError):
+                original(specs[0])
+        finally:
+            release.set()
+            service.close()
 
 
 class TestClusterServing:
@@ -287,17 +372,19 @@ class TestClusterServing:
                 "queries_explained", 0)
             for snapshot in stats["workers"].values()
             if "error" not in snapshot]
+        # The front runs no engine: its engine counters are the replicas'.
         assert merged["queries_explained"] == sum(per_worker)
         assert len(stats["workers"]) == 2
-        # Both cache views carry the per-worker breakdown.
-        assert set(stats["cache"]["by_worker"]) == set(stats["workers"])
-        assert stats["cluster"]["requests_routed"] >= len(covid_queries)
+        assert all(snapshot["role"] == "replica"
+                   for snapshot in stats["workers"].values())
+        # Every replica request ran one batch of some replica batcher.
+        assert stats["data_plane"]["requests"] >= \
+            stats["batchers"][DATASET]["batches_executed"] >= 1
 
     def test_inflight_dedup_single_execution(self, covid_bundle,
                                              covid_queries):
-        cluster = ServiceCluster(n_workers=1)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        with LocalClient(_replica_service(covid_bundle,
+                                          n_workers=1)) as client:
             query = covid_queries[0]
             barrier = threading.Barrier(4)
 
@@ -320,60 +407,43 @@ class TestClusterServing:
 
     def test_batch_dedups_identical_queries(self, covid_bundle,
                                             covid_queries):
-        cluster = ServiceCluster(n_workers=2)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        with LocalClient(_replica_service(covid_bundle)) as client:
             query = covid_queries[1]
             served = client.explain_batch(DATASET, [query, query, query], k=3)
             assert served[0].envelope.to_json() == served[1].envelope.to_json()
             assert served[1].coalesced and served[2].coalesced
-            assert client.cluster.requests_deduplicated >= 2
-            merged = client.stats()["contexts"][DATASET]["counters"]
-            assert merged["queries_explained"] == 1
+            stats = client.stats()
+            assert stats["batchers"][DATASET]["requests_deduplicated"] >= 2
+            assert stats["contexts"][DATASET]["counters"][
+                "queries_explained"] == 1
 
     def test_killed_worker_restarts_and_request_is_retried(
             self, covid_bundle, covid_queries):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        service = _replica_service(covid_bundle)
+        pool = service.pool
+        with LocalClient(service) as client:
             query = covid_queries[0]
-            victim = cluster.worker_index(
-                cluster.routing_key(DATASET, query, 3))
-            warm = client.explain(DATASET, query, k=3)
-            os.kill(cluster._handles[victim].process.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while cluster._handles[victim].process.is_alive():
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
-            assert client.health()["status"] == "degraded"
-            served = client.explain(DATASET, query, k=3)  # restart + retry
-            assert cluster.worker_restarts == 1
-            assert cluster.request_retries == 1
-            assert not served.cache_hit  # the replacement starts cold
-            assert served.envelope.canonical_json() == \
-                warm.envelope.canonical_json()
-            assert client.health()["status"] == "ok"
-            assert client.health()["workers"][str(victim)]["restarts"] == 1
-
-    def test_restart_rewarms_from_front_tier_history(self, covid_bundle,
-                                                     covid_queries):
-        cluster = ServiceCluster(n_workers=1, restart_warm_top=4)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
-            query = covid_queries[0]
+            victim = pool.route(_routing_key(query))
             client.explain(DATASET, query, k=3)
-            os.kill(cluster._handles[0].process.pid, signal.SIGKILL)
-            time.sleep(0.1)
-            client.explain(DATASET, covid_queries[1], k=3)  # triggers restart
-            assert cluster.last_restart_warmer is not None
-            cluster.last_restart_warmer.join(timeout=30.0)
+            os.kill(pool._handles[victim].process.pid, signal.SIGKILL)
+            _wait_dead(pool._handles[victim].process)
+            assert client.health()["status"] == "degraded"
+            # The front's cache outlives the replica.
             assert client.explain(DATASET, query, k=3).cache_hit
+            miss = _routed_to(pool, query, victim)
+            served = client.explain(DATASET, miss, k=3)  # restart + retry
+            assert pool.worker_restarts == 1
+            assert pool.request_retries == 1
+            assert not served.cache_hit
+            # The respawned replica computes exactly what the engine does.
+            assert served.envelope.canonical_json() == \
+                _engine_envelope(covid_bundle, miss).canonical_json()
+            assert client.health()["status"] == "ok"
+            assert client.stats()["workers"][str(victim)]["restarts"] == 1
 
     def test_version_bump_invalidates_every_worker(self, covid_bundle,
                                                    covid_queries):
-        cluster = ServiceCluster(n_workers=2)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        with LocalClient(_replica_service(covid_bundle)) as client:
             client.explain_batch(DATASET, covid_queries, k=3)
             before = client.stats()
             version_before = before["contexts"][DATASET]["dataset_version"]
@@ -383,8 +453,7 @@ class TestClusterServing:
             assert after["contexts"][DATASET]["dataset_version"] > version_before
             assert after["cache"]["size"] == 0
             for snapshot in after["workers"].values():
-                assert snapshot["cache"]["size"] == 0
-                # Every worker bumped its own copy of the version.
+                # Every replica bumped its own copy of the version.
                 assert snapshot["contexts"][DATASET]["dataset_version"] == \
                     version_before + 1
             served = client.explain_batch(DATASET, covid_queries, k=3)
@@ -403,22 +472,22 @@ class TestClusterServing:
 
     def test_register_after_start_reaches_restarted_workers(
             self, covid_bundle, covid_queries):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
-        cluster.register_dataset(
+        pool = ReplicaPool(n_workers=2, frame_store=True)
+        service = ExplanationService(coalesce_window_seconds=0.0,
+                                     pool=pool)
+        service.register_dataset(
             "c1", covid_bundle.table, covid_bundle.knowledge_graph,
             covid_bundle.extraction_specs, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
-            os.kill(cluster._handles[0].process.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while cluster._handles[0].process.is_alive():
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
-            # The broadcast restarts the dead worker (which then learns the
-            # dataset from the spec list; the worker-side op is idempotent).
-            cluster.register_dataset(
+        with LocalClient(service) as client:
+            os.kill(pool._handles[0].process.pid, signal.SIGKILL)
+            _wait_dead(pool._handles[0].process)
+            # The broadcast restarts the dead replica (which then learns
+            # the dataset from the spec list; the replica-side op is
+            # idempotent).
+            service.register_dataset(
                 "c2", covid_bundle.table, covid_bundle.knowledge_graph,
                 covid_bundle.extraction_specs, config=_config(covid_bundle))
-            assert cluster.worker_restarts == 1
+            assert pool.worker_restarts == 1
             assert client.health()["status"] == "ok"
             served = client.explain_batch("c2", covid_queries, k=2)
             assert all(one.envelope.query["exposure"] == query.exposure
@@ -426,52 +495,125 @@ class TestClusterServing:
             assert sorted(client.datasets()) == ["c1", "c2"]
 
     def test_spawn_start_method_serves(self, covid_bundle, covid_queries):
-        """The spawn-safe path: dataset pickled once per worker at start."""
-        cluster = ServiceCluster(n_workers=2, start_method="spawn")
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        """The spawn-safe path: dataset pickled once per replica at start."""
+        service = _replica_service(covid_bundle, start_method="spawn")
+        with LocalClient(service) as client:
             served = client.explain(DATASET, covid_queries[0], k=3)
             assert served.envelope.explanation.attributes
-            assert client.stats()["cluster"]["start_method"] == "spawn"
+            assert client.stats()["data_plane"]["start_method"] == "spawn"
+
+    def test_slow_replica_never_holds_back_another(self, covid_bundle,
+                                                   covid_queries):
+        """One batcher per replica: a miss routed to replica B completes
+        while replica A's batch is stuck."""
+        service = _replica_service(covid_bundle)
+        pool = service.pool
+        query_a = _routed_to(pool, covid_queries[0], 0)
+        query_b = _routed_to(pool, covid_queries[1], 1)
+        original = pool.explain_many
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(index, dataset, queries, k):
+            if index == 0:
+                entered.set()
+                assert release.wait(120.0)
+            return original(index, dataset, queries, k)
+
+        pool.explain_many = gated
+        with LocalClient(service) as client, \
+                ThreadPoolExecutor(max_workers=2) as executor:
+            try:
+                blocked = executor.submit(client.explain, DATASET, query_a, 3)
+                assert entered.wait(60.0)
+                served_b = executor.submit(
+                    client.explain, DATASET, query_b, 3).result(timeout=60.0)
+                assert not blocked.done()
+            finally:
+                release.set()
+            served_a = blocked.result(timeout=120.0)
+        for query, served in ((query_a, served_a), (query_b, served_b)):
+            assert served.envelope.canonical_json() == \
+                _engine_envelope(covid_bundle, query).canonical_json()
 
 
 # --------------------------------------------------------------------------- #
-# HTTP front end over a cluster (one handler, any topology)
+# HTTP front end over a replica pool (one handler, any topology)
 # --------------------------------------------------------------------------- #
+def _serve_http(client):
+    server = make_server(client, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    return server, HTTPClient(f"http://{host}:{port}")
+
+
 class TestHTTPOverCluster:
     def test_healthz_503_while_worker_down_then_heals(self, covid_bundle,
                                                       covid_queries):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        client = ClusterClient(cluster)
-        server = make_server(client, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        http = HTTPClient(f"http://{host}:{port}")
+        service = _replica_service(covid_bundle)
+        pool = service.pool
+        client = LocalClient(service)
+        server, http = _serve_http(client)
         try:
             assert http.health()["status"] == "ok"
             served = http.explain(DATASET, covid_queries[0], k=3)
             assert served.envelope.explanation.attributes
-            victim = cluster.worker_index(
-                cluster.routing_key(DATASET, covid_queries[0], 3))
-            os.kill(cluster._handles[victim].process.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while cluster._handles[victim].process.is_alive():
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
+            victim = pool.route(_routing_key(covid_queries[0]))
+            os.kill(pool._handles[victim].process.pid, signal.SIGKILL)
+            _wait_dead(pool._handles[victim].process)
             degraded = http.health()
             assert degraded["status"] == "degraded"
             assert degraded["workers_alive"] == 1
-            # A request routed to the dead worker heals the cluster.
-            healed = http.explain(DATASET, covid_queries[0], k=3)
+            # A miss routed to the dead replica heals the pool, and the
+            # respawned replica computes exactly what the engine does.
+            miss = _routed_to(pool, covid_queries[0], victim)
+            healed = http.explain(DATASET, miss, k=3)
             assert healed.envelope.canonical_json() == \
-                served.envelope.canonical_json()
+                _engine_envelope(covid_bundle, miss).canonical_json()
             assert http.health()["status"] == "ok"
-            # Cluster stats flow through the HTTP surface unchanged.
+            # Pool stats flow through the HTTP surface unchanged.
             stats = http.stats()
-            assert stats["cluster"]["worker_restarts"] == 1
+            assert stats["data_plane"]["worker_restarts"] == 1
         finally:
+            http.close()
+            server.shutdown()
+            server.server_close()
+            client.close()
+
+
+class TestHTTPOverReplicaPool:
+    def test_cached_key_survives_replica_kill_and_miss_heals(
+            self, covid_bundle, covid_queries):
+        service = _replica_service(covid_bundle)
+        pool = service.pool
+        client = LocalClient(service)
+        server, http = _serve_http(client)
+        try:
+            query = covid_queries[0]
+            http.explain(DATASET, query, k=3)
+            victim = pool.route(_routing_key(query))
+            requests = http.stats()["data_plane"]["requests"]
+            os.kill(pool._handles[victim].process.pid, signal.SIGKILL)
+            _wait_dead(pool._handles[victim].process)
+            # The envelope lives in the front: no replica is asked.
+            assert http.explain(DATASET, query, k=3).cache_hit
+            assert http.stats()["data_plane"]["requests"] == requests
+            status, _body = http._send("GET", "/healthz", None)
+            assert status == 503
+            assert http.health()["status"] == "degraded"
+            # The next miss routed to the dead replica respawns it and
+            # retries on it.
+            healed = http.explain(DATASET, _routed_to(pool, query, victim),
+                                  k=3)
+            assert not healed.cache_hit
+            assert http.health()["status"] == "ok"
+            assert http.stats()["data_plane"]["worker_restarts"] == 1
+            status, metrics = http._send("GET", "/metrics", None)
+            assert status == 200
+            assert "repro_cluster_workers_alive 2" in \
+                metrics.decode().splitlines()
+        finally:
+            http.close()
             server.shutdown()
             server.server_close()
             client.close()
@@ -485,7 +627,7 @@ class TestHTTPOverShardPool:
                                                      covid_queries):
         pool = ShardPool(n_shards=2, frame_store=True)
         service = ExplanationService(coalesce_window_seconds=0.0,
-                                     shard_pool=pool)
+                                     pool=pool)
         service.register_bundle(covid_bundle, config=_config(covid_bundle))
         client = LocalClient(service)
         server = make_server(client, port=0)

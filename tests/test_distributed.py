@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.distributed.coordinator import ShardPool
 from repro.distributed.partition import row_ranges
+from repro.distributed.replicas import ReplicaPool
 from repro.engine import ExplanationPipeline, get_explainer
 from repro.exceptions import ConfigurationError
 from repro.infotheory.kernel import (
@@ -47,7 +48,6 @@ from repro.infotheory.permutation import PermutationBudget
 from repro.mesa.config import MESAConfig
 from repro.missingness.logistic import fit_logistic_multi, one_hot_encode_codes
 from repro.serving.client import HTTPClient, LocalClient
-from repro.serving.cluster import ServiceCluster
 from repro.serving.service import ExplanationService
 from repro.shm import shm_available
 
@@ -312,9 +312,9 @@ class TestShardPool:
             assert fresh.worker_restarts >= 1
 
     def test_unsupported_start_method_rejected(self):
-        # Both tiers resolve their start method through the same helper.
+        # Both pools resolve their start method through the same helper.
         with pytest.raises(ConfigurationError):
-            ServiceCluster(start_method="forkserver")
+            ReplicaPool(start_method="forkserver")
         with pytest.raises(ConfigurationError):
             ShardPool(start_method="forkserver")
 
@@ -515,7 +515,7 @@ class TestRowsModeCluster:
         # shared-memory frame store.
         sharded = ExplanationService(
             coalesce_window_seconds=0.0,
-            shard_pool=ShardPool(n_shards=3, frame_store=True))
+            pool=ShardPool(n_shards=3, frame_store=True))
         try:
             sharded.register_bundle(so_bundle, config=config, warm=False)
             served = sharded.explain(so_bundle.name, query, k=3)
@@ -545,21 +545,22 @@ class TestRowsModeCluster:
             sharded.close()
 
     def test_keys_mode_stats_report_replicas(self, covid_bundle):
-        cluster = ServiceCluster(n_workers=2)
-        cluster.register_bundle(
-            covid_bundle,
-            config=MESAConfig(excluded_columns=covid_bundle.id_columns),
-            warm=False)
+        service = ExplanationService(
+            pool=ReplicaPool(n_workers=2, frame_store=True))
         try:
-            cluster.start()
-            snapshot = cluster.stats()
-            assert snapshot["shard"] == "keys"
+            service.register_bundle(
+                covid_bundle,
+                config=MESAConfig(excluded_columns=covid_bundle.id_columns),
+                warm=False)
+            snapshot = service.stats()
+            assert snapshot["data_plane"]["n_workers"] == 2
+            assert snapshot["data_plane"]["workers_alive"] == 2
             for worker in snapshot["workers"].values():
                 assert worker["role"] == "replica"
                 # Replicas hold the *whole* table, not a slice.
                 assert worker["resident_rows"] == covid_bundle.table.n_rows
         finally:
-            cluster.close()
+            service.close()
 
 
 # --------------------------------------------------------------------------- #

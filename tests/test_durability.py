@@ -3,9 +3,9 @@
 Covers the storage substrate (SQLite WAL metastore with a single writer
 thread), the disk-backed envelope store behind the in-memory TTL cache,
 the resumable :class:`~repro.jobs.manager.JobManager`, live
-``append_rows`` dataset updates, hedged cluster requests, and — the
-acceptance scenario — SIGKILLing a cluster half-way through a 40-query
-job and resuming it from the durable completed prefix with byte-identical
+``append_rows`` dataset updates, and — the acceptance scenario —
+SIGKILLing a service over engine replicas half-way through a 40-query job
+and resuming it from the durable completed prefix with byte-identical
 envelopes.
 """
 
@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.distributed.coordinator import ShardPool
+from repro.distributed import ReplicaPool, ShardPool
 from repro.engine import get_explainer
 from repro.engine.envelope import ENVELOPE_SCHEMA_VERSION, ExplanationEnvelope
 from repro.exceptions import (
@@ -34,14 +34,11 @@ from repro.jobs import JobManager
 from repro.obs.metrics import prometheus_text
 from repro.query.aggregate_query import AggregateQuery
 from repro.serving import (
-    ClusterClient,
     ExplanationService,
     HTTPClient,
     LocalClient,
-    ServiceCluster,
     make_server,
 )
-from repro.serving.cluster import HEDGE_MIN_SECONDS
 from repro.serving.schema import AppendRowsRequest, JobSubmitRequest
 from repro.shm import shm_available
 from repro.storage.envelopes import key_digest
@@ -613,70 +610,7 @@ class TestHTTPJobs:
 
 
 # --------------------------------------------------------------------------- #
-# hedged requests (satellite)
-# --------------------------------------------------------------------------- #
-class TestHedgedRequests:
-    def test_hedge_fires_and_backup_wins(self):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0,
-                                 hedge_requests=True)
-        cluster.register_dataset("people", make_serving_table(n_rows=250),
-                                 warm=False)
-        cluster.start()
-        try:
-            query = forty_queries()[0]
-            reference = cluster.explain("people", query, k=2)
-            # make the straggler deterministic: the first explain dispatch
-            # sleeps past the (forced) hedge delay, the backup sails through
-            cluster._hedge_delay = lambda: 0.05
-            original = cluster._dispatch
-            straggled = threading.Event()
-
-            def slow_once(index, op, payload):
-                if op == "explain" and not straggled.is_set():
-                    straggled.set()
-                    time.sleep(1.0)
-                return original(index, op, payload)
-
-            cluster._dispatch = slow_once
-            hedge_query = forty_queries()[1]
-            served = cluster.explain("people", hedge_query, k=2)
-            assert cluster.hedge_fired == 1
-            assert cluster.hedge_won == 1
-            cluster._dispatch = original
-            # the hedged answer equals the primary-path answer
-            repeat = cluster.explain("people", hedge_query, k=2)
-            assert served.envelope.canonical_json() == \
-                repeat.envelope.canonical_json()
-            assert reference.envelope is not None
-            front = cluster.stats()["cluster"]
-            assert front["hedge_fired"] == 1
-            assert front["hedge_won"] == 1
-        finally:
-            cluster.close()
-
-    def test_no_hedging_until_enough_samples(self):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0,
-                                 hedge_requests=True)
-        try:
-            assert cluster._hedge_delay() is None
-            cluster._latencies.extend([0.01] * 25)
-            delay = cluster._hedge_delay()
-            assert delay is not None
-            assert delay >= HEDGE_MIN_SECONDS
-        finally:
-            cluster.close()
-
-    def test_hedging_off_by_default(self):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
-        try:
-            cluster._latencies.extend([0.01] * 25)
-            assert cluster._hedge_delay() is None
-        finally:
-            cluster.close()
-
-
-# --------------------------------------------------------------------------- #
-# cluster live updates
+# live updates through a worker pool
 # --------------------------------------------------------------------------- #
 class TestClusterAppendRows:
     @pytest.mark.parametrize("shard", ["keys", "rows"])
@@ -688,15 +622,12 @@ class TestClusterAppendRows:
                                aggregate="avg", context=Eq("country", "BR"),
                                table_name="people")
         if shard == "keys":
-            served_by = ServiceCluster(n_workers=2, restart_warm_top=0,
-                                       store_path=store_path)
-            served_by.register_dataset("people", table, warm=False)
-            served_by.start()
+            pool = ReplicaPool(n_workers=2, frame_store=True)
         else:
-            served_by = ExplanationService(
-                coalesce_window_seconds=0.0, store=store_path,
-                shard_pool=ShardPool(n_shards=2, frame_store=True))
-            served_by.register_dataset("people", table, warm=False)
+            pool = ShardPool(n_shards=2, frame_store=True)
+        served_by = ExplanationService(coalesce_window_seconds=0.0,
+                                       store=store_path, pool=pool)
+        served_by.register_dataset("people", table, warm=False)
         try:
             served_by.explain("people", query, k=2)
             result = served_by.append_rows("people", new_rows, rewarm=False)
@@ -704,10 +635,10 @@ class TestClusterAppendRows:
             assert result["n_rows"] == 264
             assert result["dataset_version"] == 1
             served = served_by.explain("people", query, k=2)
-            if shard == "rows" and shm_available():
+            if shm_available():
                 # The append retired the first version's shared-memory
-                # segments and the next explain republished the merged
-                # table's columns.
+                # segments (replicas: the published table; shards: the
+                # context columns) and the merged table's are live.
                 store = served_by.stats()["frame_store"]
                 assert store["segments_unlinked"] > 0
                 assert store["segments"] > 0
@@ -724,7 +655,7 @@ class TestClusterAppendRows:
         # start would have produced
         reference = ExplanationService(
             coalesce_window_seconds=0.0,
-            shard_pool=ShardPool(n_shards=2, frame_store=True)
+            pool=ShardPool(n_shards=2, frame_store=True)
             if shard == "rows" else None)
         try:
             reference.register_dataset("people", merged, warm=False)
@@ -738,19 +669,24 @@ class TestClusterAppendRows:
 # --------------------------------------------------------------------------- #
 # kill-mid-workload recovery (the acceptance scenario)
 # --------------------------------------------------------------------------- #
+def _replica_service(store_path) -> ExplanationService:
+    return ExplanationService(
+        store=store_path,
+        pool=ReplicaPool(n_workers=2, frame_store=False))
+
+
 def _run_cluster_until_killed(store_path, job_file, rows, queries_payload):
-    """Child-process body: serve a cluster, submit the 40-query job, idle.
+    """Child-process body: serve 2 replicas, submit the 40-query job, idle.
 
     Runs in its own process group so the parent can SIGKILL the front
-    *and* its worker processes in one shot — a real crash, no cleanup.
+    *and* its replica processes in one shot — a real crash, no cleanup.
     """
     os.setpgid(0, 0)
     table = Table.from_rows(rows, name="people")
-    cluster = ServiceCluster(n_workers=2, restart_warm_top=0,
-                             frame_store=False, store_path=store_path)
-    cluster.register_dataset("people", table, warm=False)
-    cluster.start()
-    job_id = cluster.jobs.submit("people", queries=queries_payload, k=2)
+    service = _replica_service(store_path)
+    service.register_dataset("people", table, warm=False)
+    job_id = service.enable_jobs().submit("people", queries=queries_payload,
+                                          k=2)
     with open(job_file, "w", encoding="ascii") as handle:
         handle.write(job_id)
     while True:  # the JobManager thread does the work; wait for the kill
@@ -807,11 +743,10 @@ class TestKillMidWorkloadRecovery:
 
         # restart against the same store path: the stale RUNNING job is
         # re-queued and resumed from its durable completed prefix
-        restarted = ServiceCluster(n_workers=2, restart_warm_top=0,
-                                   frame_store=False, store_path=store_file)
+        restarted = _replica_service(store_file)
         restarted.register_dataset(
             "people", make_serving_table(n_rows=400), warm=False)
-        restarted.start()
+        restarted.enable_jobs()
         try:
             prefix = len(restarted.jobs.store.job_result_positions(job_id))
             assert prefix >= 8, "killed run left too small a prefix"

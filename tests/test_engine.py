@@ -64,6 +64,24 @@ class TestPipeline:
             for phase in ("extraction", "offline_pruning", "online_pruning", "mcimr"):
                 assert phase in result.timings
 
+    def test_batch_prewarm_is_timed_as_a_stage(self, covid_bundle):
+        """The batch pre-warm is attributed: ``stage_seconds["warm"]``."""
+        from repro.obs.metrics import prometheus_text
+
+        pipeline = ExplanationPipeline(
+            covid_bundle.table, covid_bundle.knowledge_graph,
+            covid_bundle.extraction_specs,
+            config=MESAConfig(excluded_columns=covid_bundle.id_columns))
+        pipeline.explain_many([q.query for q in covid_bundle.queries], k=3)
+        counters, stage_seconds = pipeline.context.observability_snapshot()
+        assert stage_seconds["warm"] > 0
+        assert counters["extraction_runs"] == 1
+        assert "warm" not in counters and "stage.warm" not in counters
+        text = prometheus_text({"contexts": {covid_bundle.name: {
+            "counters": counters, "stage_seconds": stage_seconds}}})
+        assert any(line.startswith("repro_stage_seconds_total{")
+                   and 'stage="warm"' in line for line in text.splitlines())
+
     def test_offline_pruning_judges_each_column_once(self):
         """Verdicts accumulate per column; cached columns never re-scan."""
         from repro.table.table import Table

@@ -5,13 +5,14 @@ cross-thread capture, metrics registry + merge, Prometheus rendering, the
 slow-query log), the serving integrations (per-request trace ids, the
 ``/metrics`` and ``/trace/<id>`` endpoints, the opt-in ``debug.trace``
 block), the TTL cache's amortised expiry sweep, and the cross-process
-guarantees: a restarted cluster worker must not deflate merged lifetime
-counters, and one HTTP request through a row-sharded cluster must stitch
-front-end, worker and shard spans into a single trace tree.
+guarantees: a restarted engine replica must not deflate folded lifetime
+counters, and one HTTP request through a row-sharded service must stitch
+front-end, engine and shard spans into a single trace tree.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -20,10 +21,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.distributed.coordinator import ShardPool
+from repro.distributed import ReplicaPool, ShardPool
 from repro.mesa.config import MESAConfig
 from repro.obs import trace
 from repro.obs.logs import SLOW_QUERY_LOGGER, JsonLogFormatter, log_slow_query
@@ -33,13 +35,7 @@ from repro.obs.metrics import (
     prometheus_text,
 )
 from repro.obs.trace import Tracer
-from repro.serving import (
-    ClusterClient,
-    ExplanationService,
-    LocalClient,
-    ServiceCluster,
-    make_server,
-)
+from repro.serving import ExplanationService, LocalClient, make_server
 from repro.serving.cache import TTLCache
 
 DATASET = "Covid-19"
@@ -517,13 +513,20 @@ class TestHTTPObservability:
 
 
 # --------------------------------------------------------------------------- #
-# cluster: restart-proof counters and /metrics from a cluster topology
+# replicas: restart-proof counters and /metrics from the replica topology
 # --------------------------------------------------------------------------- #
+def _replica_client(bundle, n_workers: int) -> LocalClient:
+    service = ExplanationService(
+        coalesce_window_seconds=0.0,
+        pool=ReplicaPool(n_workers=n_workers, frame_store=n_workers > 1))
+    service.register_bundle(bundle, config=_config(bundle))
+    return LocalClient(service)
+
+
 class TestClusterObservability:
     def test_restart_does_not_deflate_merged_counters(self, covid_bundle):
-        cluster = ServiceCluster(n_workers=1, restart_warm_top=0)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        with _replica_client(covid_bundle, n_workers=1) as client:
+            pool = client.service.pool
             query = covid_bundle.queries[0].query
             client.explain(DATASET, query, k=3)
             before = client.stats()
@@ -532,54 +535,58 @@ class TestClusterObservability:
             hits_plus_misses = before["cache"]["hits"] + \
                 before["cache"]["misses"]
             assert explained_before >= 1
-            os.kill(cluster._handles[0].process.pid, signal.SIGKILL)
+            os.kill(pool._handles[0].process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while cluster._handles[0].process.is_alive():
+            while pool._handles[0].process.is_alive():
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
-            client.explain(DATASET, query, k=3)  # restart + retry
-            assert cluster.worker_restarts == 1
+            # A miss (same query, another client label) restarts the
+            # replica and retries on it.
+            client.explain(DATASET, dataclasses.replace(query, name="again"),
+                           k=3)
+            assert pool.worker_restarts == 1
             after = client.stats()
             merged = after["contexts"][DATASET]["counters"]
-            # The dead worker's last snapshot was folded into the front
-            # tier's base, so lifetime counters stay monotonic: the old
-            # work plus the replacement's fresh run.
+            # The dead replica's last snapshot was folded into the pool's
+            # base, so lifetime counters stay monotonic: the old work plus
+            # the replacement's fresh run.
             assert merged["queries_explained"] >= explained_before + 1
             assert after["cache"]["hits"] + after["cache"]["misses"] >= \
                 hits_plus_misses
-            # Point-in-time occupancy reflects only the live worker.
-            assert after["cache"]["size"] == 1
+            # The front's cache kept the first envelope across the restart.
+            assert after["cache"]["size"] == 2
             assert after["contexts"][DATASET]["stage_seconds"]
             assert "repro_cluster_worker_restarts_total 1" in \
                 prometheus_text(after).splitlines()
 
     def test_cluster_stats_merge_worker_metrics(self, covid_bundle):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        with _replica_client(covid_bundle, n_workers=2) as client:
             queries = [entry.query for entry in covid_bundle.queries]
             client.explain_batch(DATASET, queries, k=3)
             stats = client.stats()
             names = {entry["name"] for entry in stats["metrics"]}
             assert "repro_requests_total" in names
-            # Each worker counts one explain_batch request; with two
-            # workers the batch fans out to at least one of them.
+            # The front counts the one explain_batch request, whichever
+            # replicas its misses ran on.
             total = sum(entry["value"] for entry in stats["metrics"]
                         if entry["name"] == "repro_requests_total")
             assert total >= 1
-            # The merged snapshot renders as valid Prometheus text too.
+            # Replica engine counters fold into the front's contexts.
+            assert stats["contexts"][DATASET]["counters"][
+                "queries_explained"] == len(queries)
+            # The snapshot renders as valid Prometheus text too.
             text = prometheus_text(stats)
             assert "repro_requests_total" in text
 
 
 # --------------------------------------------------------------------------- #
-# satellite 4: one trace across HTTP front end, cluster and row shards
+# one trace across the HTTP front end, engine replicas and row shards
 # --------------------------------------------------------------------------- #
 class TestCrossProcessTrace:
     def test_rows_cluster_http_explain_is_one_stitched_tree(
             self, covid_bundle):
         service = ExplanationService(
-            shard_pool=ShardPool(n_shards=2, frame_store=True))
+            pool=ShardPool(n_shards=2, frame_store=True))
         service.register_bundle(covid_bundle, config=_config(covid_bundle),
                                 warm=False)
         client = LocalClient(service)
@@ -624,9 +631,7 @@ class TestCrossProcessTrace:
             client.close()
 
     def test_keys_cluster_explain_stitches_worker_spans(self, covid_bundle):
-        cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
-        cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        with ClusterClient(cluster) as client:
+        with _replica_client(covid_bundle, n_workers=2) as client:
             tracer = Tracer(tier="front")
             request = trace.begin_request(tracer, "front.explain")
             try:
@@ -636,12 +641,50 @@ class TestCrossProcessTrace:
             spans = tracer.spans_of(request.trace_id)
             names = [one["name"] for one in spans]
             tiers = {one["tier"] for one in spans}
-            assert "rpc.explain" in names
-            assert "worker.explain" in names
+            assert "rpc.explain_many" in names
+            assert "worker.explain_many" in names
             assert "worker" in tiers  # remote spans shipped back and
-            # stitched under the front-tier rpc span:
+            # stitched under the front's rpc span:
             by_id = {one["span_id"]: one for one in spans}
             worker_root = next(one for one in spans
-                               if one["name"] == "worker.explain")
-            assert by_id[worker_root["parent_id"]]["name"] == "rpc.explain"
+                               if one["name"] == "worker.explain_many")
+            assert by_id[worker_root["parent_id"]]["name"] == \
+                "rpc.explain_many"
             assert any(name.startswith("stage.") for name in names)
+
+    def test_coalesced_traced_requests_each_keep_their_replica_spans(
+            self, covid_bundle):
+        """Two traced requests whose misses coalesce into one replica batch
+        each get their own rpc span with the replica's spans under it."""
+        service = ExplanationService(coalesce_window_seconds=1.0,
+                                     pool=ReplicaPool(n_workers=1))
+        service.register_bundle(covid_bundle, config=_config(covid_bundle))
+        queries = [entry.query for entry in covid_bundle.queries[:2]]
+        barrier = threading.Barrier(len(queries))
+
+        def request(query):
+            barrier.wait()
+            return service.explain(DATASET, query, k=3)
+
+        try:
+            with ThreadPoolExecutor(max_workers=len(queries)) as executor:
+                served = list(executor.map(request, queries))
+            stats = service.stats()
+            # One replica batch, one round trip per trace.
+            assert stats["batchers"][DATASET]["batches_executed"] == 1
+            assert stats["data_plane"]["requests"] == len(queries)
+            trace_ids = {one.trace_id for one in served}
+            assert None not in trace_ids and len(trace_ids) == len(queries)
+            for trace_id in trace_ids:
+                spans = service.tracer.spans_of(trace_id)
+                by_id = {one["span_id"]: one for one in spans}
+                assert [one["name"] for one in spans].count(
+                    "rpc.explain_many") == 1
+                (replica_root,) = [one for one in spans
+                                   if one["name"] == "worker.explain_many"]
+                assert by_id[replica_root["parent_id"]]["name"] == \
+                    "rpc.explain_many"
+                assert any(one["name"].startswith("stage.")
+                           and one["tier"] == "worker" for one in spans)
+        finally:
+            service.close()

@@ -10,15 +10,17 @@ Three layers, three guarantees:
   only once its readers drain; readers racing a retirement finish on
   their old (still mapped) views; a SIGKILLed attacher never takes the
   segment down with it (the bpo-38119 resource-tracker asymmetry).
-* **Serving** — a frame-store cluster serves byte-identical envelopes to
-  the same cluster with the store off, ``warm()`` encodes each hot
-  context once in the owner, ``clear_cache()`` retires frame segments
-  while the dataset segments live on, and ``/dev/shm`` is clean after
-  ``close()`` — even when a worker died by SIGKILL in between.
+* **Serving** — a service over frame-store replicas serves
+  byte-identical envelopes to the same topology with the store off,
+  ``warm()`` encodes each hot context once in the owner, ``clear_cache()``
+  retires frame segments while the dataset segments live on, and
+  ``/dev/shm`` is clean after ``close()`` — even when a replica died by
+  SIGKILL in between.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -29,7 +31,8 @@ import pytest
 
 from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
-from repro.serving import ClusterClient, ServiceCluster
+from repro.distributed import ReplicaPool
+from repro.serving import ExplanationService, LocalClient
 from repro.shm import (
     FrameStore,
     frame_from_manifest,
@@ -315,30 +318,35 @@ class TestSigkilledAttacher:
 
 
 # --------------------------------------------------------------------------- #
-# serving: the frame-store cluster end to end
+# serving: a service over frame-store replicas, end to end
 # --------------------------------------------------------------------------- #
+def _replica_service(frame_store: bool, **pool_kwargs) -> ExplanationService:
+    return ExplanationService(
+        coalesce_window_seconds=0.0,
+        pool=ReplicaPool(n_workers=2, frame_store=frame_store,
+                         **pool_kwargs))
+
+
 @pytest.fixture(scope="module")
 def store_cluster(so_bundle):
-    cluster = ServiceCluster(n_workers=2, frame_store=True,
-                             restart_warm_top=0)
-    cluster.register_bundle(so_bundle, config=_config(so_bundle), warm=False)
-    with ClusterClient(cluster) as client:
-        yield cluster, client
+    service = _replica_service(frame_store=True)
+    service.register_bundle(so_bundle, config=_config(so_bundle), warm=False)
+    with LocalClient(service) as client:
+        yield service, client
 
 
 class TestClusterFrameStore:
     def test_envelopes_identical_with_store_off(self, so_bundle,
                                                 store_cluster):
-        cluster, client = store_cluster
-        assert cluster.frame_store_enabled
+        _, client = store_cluster
+        assert client.stats()["frame_store"]["enabled"]
         queries = _queries()
         served = [client.explain(DATASET, query, k=3).envelope
                   for query in queries]
-        plain = ServiceCluster(n_workers=2, frame_store=False,
-                               restart_warm_top=0)
+        plain = _replica_service(frame_store=False)
         plain.register_bundle(so_bundle, config=_config(so_bundle),
                               warm=False)
-        with ClusterClient(plain) as plain_client:
+        with LocalClient(plain) as plain_client:
             for query, envelope in zip(queries, served):
                 reference = plain_client.explain(DATASET, query,
                                                  k=3).envelope
@@ -346,7 +354,7 @@ class TestClusterFrameStore:
                     reference.canonical_json()
 
     def test_warm_encodes_each_context_once_per_box(self, store_cluster):
-        cluster, client = store_cluster
+        service, client = store_cluster
         # Contexts no earlier test touched: the replay below must either
         # adopt the published frames or re-encode — counters tell which.
         fresh = [
@@ -360,38 +368,38 @@ class TestClusterFrameStore:
         before = client.stats()
         b = before["contexts"][DATASET]["counters"]
         published = before["frame_store"].get("frames_published", 0)
-        cluster.warm(DATASET, queries=fresh)
+        service.warm(DATASET, queries=fresh)
         after = client.stats()
         # The owner encoded each fresh context exactly once…
         assert after["frame_store"]["frames_published"] == \
             published + len(fresh)
         a = after["contexts"][DATASET]["counters"]
-        # …and the replaying workers adopted those frames instead of
+        # …and the replaying replicas adopted those frames instead of
         # re-encoding: attaches moved, frame misses did not.
         assert a.get("frame_store_attach", 0) >= \
             b.get("frame_store_attach", 0) + len(fresh)
         assert a.get("frame_cache_misses", 0) == \
             b.get("frame_cache_misses", 0)
         # A second warm pass re-broadcasts without re-encoding.
-        cluster.warm(DATASET, queries=fresh)
+        service.warm(DATASET, queries=fresh)
         assert client.stats()["frame_store"]["frames_published"] == \
             published + len(fresh)
 
     def test_clear_cache_retires_frames_keeps_dataset(self, store_cluster):
-        cluster, client = store_cluster
+        service, client = store_cluster
+        pool = service.pool
         queries = _queries()
-        cluster.warm(DATASET, queries=queries)
-        assert any(key[0] == "frames"
-                   for key in cluster._store.generations())
-        table_segments = set(cluster._store.generation_segments(
-            ("table", DATASET)))
+        service.warm(DATASET, queries=queries)
+        assert any(key[0] == "frames" for key in pool._store.generations())
+        _generation, manifest = pool._tables[DATASET]
+        table_segments = set(manifest.segments)
         assert table_segments
-        cluster.clear_cache()
-        # Frame generations retired and drained (workers acked the
-        # release); the dataset generation lives on — workers still serve
+        service.clear_cache()
+        # Frame generations retired and drained (replicas acked the
+        # release); the dataset generation lives on — replicas still serve
         # from their table views.
         assert not any(key[0] == "frames"
-                       for key in cluster._store.generations())
+                       for key in pool._store.generations())
         live = _shm_entries()
         assert table_segments <= live
         for query in queries:
@@ -410,20 +418,25 @@ class TestClusterFrameStore:
         assert 'repro_frame_store_enabled 1' in text
 
     def test_sigkilled_worker_leaves_store_intact(self, store_cluster):
-        cluster, client = store_cluster
-        query = _queries()[0]
+        service, client = store_cluster
+        pool = service.pool
         segments_before = _shm_entries()
         assert segments_before  # the table segment at minimum
-        victim = cluster._handles[0].process
+        victim = pool._handles[0].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=30)
         time.sleep(0.5)
-        # The dead worker only ever *attached*: every segment survives.
+        # The dead replica only ever *attached*: every segment survives.
         assert segments_before <= _shm_entries()
-        # And the cluster restarts it on the next request it routes there.
-        for _ in range(4):
-            assert client.explain(DATASET, query,
-                                  k=3).envelope.explanation is not None
+        # And the pool restarts it on the next miss routed there.
+        for attempt in range(64):
+            query = dataclasses.replace(_queries()[0],
+                                        name=f"shm-kill-{attempt}")
+            served = client.explain(DATASET, query, k=3)
+            assert served.envelope.explanation is not None
+            if pool.worker_restarts:
+                break
+        assert pool.worker_restarts == 1
 
 
 class TestClusterFallbacks:
@@ -432,12 +445,10 @@ class TestClusterFallbacks:
         from repro.shm import segments
 
         monkeypatch.setattr(segments, "FORCE_UNAVAILABLE", True)
-        cluster = ServiceCluster(n_workers=2, frame_store=True,
-                                 restart_warm_top=0)
-        assert not cluster.frame_store_enabled
-        cluster.register_bundle(so_bundle, config=_config(so_bundle),
+        service = _replica_service(frame_store=True)
+        service.register_bundle(so_bundle, config=_config(so_bundle),
                                 warm=False)
-        with ClusterClient(cluster) as client:
+        with LocalClient(service) as client:
             served = client.explain(DATASET, _queries()[0], k=3)
             assert served.envelope.explanation.attributes
             assert client.stats()["frame_store"] == {"enabled": False}
@@ -456,12 +467,11 @@ class TestClusterFallbacks:
             [so_bundle.table.column(name)
              for name in so_bundle.table.column_names],
             name=so_bundle.table.name)
-        cluster = ServiceCluster(n_workers=2, start_method="fork",
-                                 frame_store=False, restart_warm_top=0)
-        cluster.register_dataset(DATASET, table, so_bundle.knowledge_graph,
+        service = _replica_service(frame_store=False, start_method="fork")
+        service.register_dataset(DATASET, table, so_bundle.knowledge_graph,
                                  so_bundle.extraction_specs,
                                  config=_config(so_bundle), warm=False)
-        with ClusterClient(cluster) as client:
+        with LocalClient(service) as client:
             served = client.explain(DATASET, _queries()[0], k=3)
             assert served.envelope.explanation.attributes
 
