@@ -47,9 +47,12 @@ against cached codes), and batched candidate scoring
 (:meth:`~repro.core.problem.CorrelationExplanationProblem.score_candidates`)
 for the greedy search rounds.  The two dominant per-query inference costs
 run on a unified batched backend: permutation-based independence tests on
-the blocked engine (:mod:`repro.infotheory.permutation` — permutations
-sampled in blocks, one shared ``bincount`` per block, bit-identical
-p-values) and IPW selection fits on the fit cache
+one permutation driver (:mod:`repro.infotheory.permutation` — one count
+kernel counts a block of permutations in one ``bincount``, one finaliser
+turns the counts into null CMIs and one loop makes the sequential
+decision, locally and on row shards alike; local p-values are
+bit-identical to a per-permutation loop) and IPW selection fits on the
+fit cache
 (:mod:`repro.missingness.fitcache` — fits memoised by observed-mask hash +
 design signature, uncached attributes batched into one multi-label IRLS
 solve; ``context.counters['ipw_fit_hit']`` / ``['ipw_fit_miss']`` count
@@ -83,7 +86,9 @@ these paths' timings and gates their work counters.  The knobs on
   on many-strata plans, but is a *different* documented RNG stream:
   p-values match the legacy per-stratum Fisher–Yates stream in
   distribution, not bit-for-bit.  Pair it with early exit or adaptive
-  budgets, where exact run counts already vary.
+  budgets, where exact run counts already vary.  Every kernel test draws
+  from the configured stream, including the one-permutation-at-a-time
+  path for code spaces too wide to count densely.
 * ``speculative_search`` (default ``False``; serving turns it on) —
   pipeline MCIMR rounds: while round ``i``'s responsibility test runs, a
   worker thread speculatively scores round ``i+1``'s candidates against
@@ -169,7 +174,10 @@ one per shard worker, and the service's engine scatter-gathers the
 row-sharded data plane (:mod:`repro.distributed`): per-shard partial
 contingency counts summed before the entropy step (weighted bincounts
 over fused codes are additive over row partitions, so estimates equal
-the single-process engine's exactly), permutation tests stratified *within*
+the single-process engine's exactly), permutation tests run as the
+local test's sharded case (each shard counts its permutations with the
+local count kernel, and the coordinator sums them and applies the local
+finaliser) stratified *within*
 shards on chunk-aligned per-shard RNG streams (deterministic for a given
 shard count, and provably identical between early-exit and full runs;
 adaptive budget extensions request whole chunks, so an extended run

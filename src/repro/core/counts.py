@@ -28,9 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.infotheory import kernel, permutation
+from repro.infotheory import kernel
 from repro.infotheory.encoding import EncodedFrame
-from repro.utils.rng import make_rng
 
 #: Bound on the cached fused conditioning-code arrays (LRU) of one source;
 #: each entry costs ``8 * n_rows`` bytes.
@@ -172,21 +171,14 @@ class LocalCounts:
         The conditioning set is fused in *caller* order: the permutation
         strata then sort the same way the reference ``joint_codes`` labels
         do, so the RNG is consumed stratum-for-stratum identically.
-        Returns ``(observed, permute)``; ``permute(budget)`` runs the
-        blocked permutation engine and returns its outcome.
+        Returns ``(observed, permute)`` from
+        :func:`repro.infotheory.kernel.local_test`.
         """
-        x = self.frame.codes(a)
-        y = self.frame.codes(b)
         z, n_z = self._joint_for(conditioning, plain=True)
-        weights = self.weights_for([a, b, *conditioning])
-        observed = kernel.contingency_cmi(x, y, z, n_z=n_z, weights=weights)
-
-        def permute(budget):
-            return permutation.blocked_permutation_test(
-                x, y, z, n_z, weights, observed, n_permutations, alpha,
-                make_rng(seed), budget=budget)
-
-        return observed, permute
+        return kernel.local_test(
+            self.frame.codes(a), self.frame.codes(b), z, n_z,
+            self.weights_for([a, b, *conditioning]), n_permutations, alpha,
+            seed)
 
     def fitter(self, predictor_columns: Sequence[str]):
         """The IPW selection-fit solver: the local multi-label IRLS."""

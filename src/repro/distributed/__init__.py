@@ -11,17 +11,20 @@ units fan out as scatter-gather rounds:
 
 * **counts** — every entropy/MI/CMI term reduces to one weighted
   contingency count over fused codes, and counts are additive over row
-  partitions (:func:`repro.infotheory.kernel.accumulate` /
-  :func:`~repro.infotheory.kernel.merge_counts` /
-  :func:`~repro.infotheory.kernel.finalize`), so each worker returns the
-  partial counts of its rows and the coordinator performs one entropy
-  step on the merged tensor — an *exact* decomposition, not an
-  approximation;
-* **permutations** — null distributions are stratified within
-  (shard × stratum), a finer and equally valid stratification under the
-  permutation null, with each shard consuming its own deterministic RNG
-  stream (:func:`repro.utils.rng.derive_seed` over the shard index and
-  block index), so verdicts are reproducible for any shard count;
+  partitions, so each worker returns the partial counts of its rows
+  (:func:`repro.infotheory.kernel.cmi_counts` /
+  :func:`~repro.infotheory.kernel.joint_counts`) and the coordinator
+  performs one entropy step on their sum — an *exact* decomposition, not
+  an approximation;
+* **permutations** — the local test is the one-shard case: each worker
+  counts permutations of its rows with the local count kernel, and the
+  coordinator sums the counts, merges their bounds by max and applies
+  the local finaliser (:mod:`repro.infotheory.permutation`).  Null
+  distributions are stratified within (shard × stratum), a finer and
+  equally valid stratification under the permutation null, with each
+  shard consuming its own deterministic RNG stream
+  (:func:`repro.utils.rng.derive_seed` over the shard index and chunk
+  index), so verdicts are reproducible for a given shard count;
 * **IRLS** — the IPW selection fits decompose per Newton step into
   per-shard ``X'WX`` / ``X'(s - p)`` partials
   (:func:`repro.missingness.logistic.logistic_partials`); the coordinator

@@ -69,6 +69,9 @@ from repro.shm import FrameStore, shm_available
 #: the engine's frame-cache budget — contexts past it are cold there too).
 MAX_SHARD_CONTEXTS = 32
 
+#: Seconds to wait for one shard reply before declaring the worker dead.
+REQUEST_TIMEOUT = 600.0
+
 #: A column provider maps a column key (``"p:attr"`` / ``"m:attr"`` /
 #: ``"w:attr"``) to its full-length array; the pool slices per shard.
 ColumnProvider = Callable[[str], np.ndarray]
@@ -137,8 +140,6 @@ class ShardPool:
     start_method:
         ``"fork"`` / ``"spawn"``; ``None`` picks fork where the platform
         has it (:func:`~repro.distributed.ipc.resolve_start_method`).
-    request_timeout:
-        Seconds to wait for one worker reply before declaring it dead.
     frame_store:
         Ship columns through a pool-owned shared-memory store instead of
         pickling slices down worker pipes (see **Shared memory** above);
@@ -148,13 +149,11 @@ class ShardPool:
 
     def __init__(self, n_shards: int = 2,
                  start_method: Optional[str] = None,
-                 request_timeout: float = 600.0,
                  frame_store: bool = False):
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
         self.start_method = ipc.resolve_start_method(start_method)
         self.n_shards = n_shards
-        self.request_timeout = request_timeout
         self._store = FrameStore() if frame_store and shm_available() \
             else None
         self._handles: List[ipc.PipeWorkerHandle] = []
@@ -183,7 +182,7 @@ class ShardPool:
             max_workers=self.n_shards,
             thread_name_prefix="repro-shard-pool")
         for handle in self._handles:
-            ipc.request(handle, "ping", None, self.request_timeout)
+            ipc.request(handle, "ping", None, REQUEST_TIMEOUT)
         self._started = True
         return self
 
@@ -258,7 +257,7 @@ class ShardPool:
     def _broadcast_best_effort(self, op: str, payload) -> None:
         for handle in self._handles:
             try:
-                ipc.request(handle, op, payload, self.request_timeout)
+                ipc.request(handle, op, payload, REQUEST_TIMEOUT)
             except Exception:
                 continue
 
@@ -289,14 +288,14 @@ class ShardPool:
                     {"ctx": ctx.key,
                      "columns": {key: (refs[key], start, stop)
                                  for key in missing}},
-                    self.request_timeout)
+                    REQUEST_TIMEOUT)
             else:
                 payload = {key: np.ascontiguousarray(
                                provider(key)[start:stop])
                            for key in missing}
                 ipc.request_locked(handle, "put",
                                    {"ctx": ctx.key, "columns": payload},
-                                   self.request_timeout)
+                                   REQUEST_TIMEOUT)
             ctx.shipped[index].update(missing)
         for token in tokens:
             if token in ctx.relabel_shipped[index]:
@@ -306,14 +305,14 @@ class ShardPool:
                 raise ConfigurationError(f"unknown relabel token {token!r}")
             local = ipc.request_locked(
                 handle, "present", {"ctx": ctx.key, "steps": spec["steps"]},
-                self.request_timeout)
+                REQUEST_TIMEOUT)
             merged = spec["merged"]
             ranks = np.searchsorted(merged, local)
             ipc.request_locked(
                 handle, "put_relabel",
                 {"ctx": ctx.key, "token": token, "values": local,
                  "ranks": ranks},
-                self.request_timeout)
+                REQUEST_TIMEOUT)
             ctx.relabel_shipped[index].add(token)
 
     def _publish_refs(self, ctx: ShardContext, keys: Sequence[str],
@@ -362,7 +361,7 @@ class ShardPool:
                     with self._lock:
                         self.requests += 1
                     return ipc.request_locked(handle, op, payload,
-                                              self.request_timeout)
+                                              REQUEST_TIMEOUT)
             except ipc.WorkerDiedError:
                 if not retry or attempt:
                     raise
@@ -508,12 +507,16 @@ class ShardPool:
         the *global permutation index*, not the round schedule, so the
         null sequence is a pure function of ``(seed, shard count)``.  The
         early-exit ramp changes only how many permutations each round
-        requests, never which permutations are drawn; the budgeted
-        sequential decision runs through the local blocked driver's own
-        block loop (:func:`~repro.infotheory.permutation.
-        run_permutation_blocks`) — including adaptive budget extension.
-        Rounds are kept chunk-aligned so a stream chunk is only ever
-        partially consumed at the global end: a worker always draws a
+        requests, never which permutations are drawn.  The local test's
+        pieces run every round: shards count with
+        :func:`~repro.infotheory.permutation.block_partial_counts`, the
+        coordinator sums their counts in shard order, merges their bounds
+        by max and finalises with
+        :func:`~repro.infotheory.permutation.null_cmis_from_counts`, and
+        :func:`~repro.infotheory.permutation.run_permutation_blocks`
+        drives the budgeted sequential decision, adaptive extension
+        included.  Rounds are kept chunk-aligned so a stream chunk is only
+        ever partially consumed at the global end: a worker always draws a
         chunk's permutations from the start of that chunk's stream, so
         under an adaptive budget every round *requests* a chunk-multiple
         (bounded look-ahead past the current target, counted in
@@ -522,7 +525,7 @@ class ShardPool:
 
         Returns a :class:`~repro.infotheory.permutation.PermutationOutcome`
         exactly like :func:`~repro.infotheory.permutation.
-        blocked_permutation_test` (unpackable as the historical 4-tuple).
+        blocked_permutation_test`.
         """
         chunk = permutation.EARLY_EXIT_INITIAL_BLOCK
         columns = recipe_columns(x, y, z, weights)
@@ -536,15 +539,19 @@ class ShardPool:
                        "rng_stream": budget.rng_stream}
             partials = self._scatter(ctx, "perm", lambda index: payload,
                                      columns, tokens, provider)
-            total = np.asarray(partials[0], dtype=np.float64).copy()
-            for part in partials[1:]:
-                total += np.asarray(part, dtype=np.float64)
-            return permutation.null_cmis_from_counts(total, n_x, n_y, n_z)
+            counts = np.asarray(partials[0][0], dtype=np.float64).copy()
+            tops = partials[0][1]
+            for part_counts, part_tops in partials[1:]:
+                counts += part_counts
+                tops = np.maximum(tops, part_tops)
+            return permutation.null_cmis_from_counts(counts, tops,
+                                                     n_x, n_y, n_z)
 
         return permutation.run_permutation_blocks(
             permutation.BudgetedSequentialTest(n_permutations, alpha, budget),
-            observed, n_x * n_y * max(1, n_z), ctx.n_rows, null_block,
-            align=chunk)
+            observed,
+            permutation.block_width(n_x * n_y * max(1, n_z), ctx.n_rows),
+            null_block, align=chunk)
 
     # ------------------------------------------------------------------ #
     # compute: distributed IRLS
@@ -612,7 +619,7 @@ class ShardPool:
                 try:
                     ipc.request(handle, "irls_end",
                                 {"ctx": ctx.key, "fit": fit_id},
-                                self.request_timeout)
+                                REQUEST_TIMEOUT)
                 except Exception:
                     continue
 
@@ -623,7 +630,7 @@ class ShardPool:
         """Per-shard snapshots plus pool counters (busy workers go stale)."""
         workers: Dict[str, Any] = {}
         if self._started and not self._closed:
-            workers = ipc.probe_stats(self._handles, self.request_timeout,
+            workers = ipc.probe_stats(self._handles, REQUEST_TIMEOUT,
                                       {"role": "row-shard"})
         for handle, snapshot in zip(self._handles, workers.values()):
             snapshot.setdefault("restarts", handle.restarts)

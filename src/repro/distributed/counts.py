@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.counts import MAX_JOINT_CACHE, LocalCounts
 from repro.distributed.coordinator import ShardContext, ShardPool
 from repro.exceptions import ReproError
-from repro.infotheory import kernel
+from repro.infotheory import kernel, permutation
 
 
 class ShardCounts:
@@ -248,14 +248,23 @@ class ShardCounts:
         The conditioning set is fused in *caller* order, like the local
         plain path: the shard strata refine these codes, and keeping the
         recipe identical lets sharded and local tests share compaction
-        decisions.
+        decisions.  The observed CMI goes through the permutation tests'
+        finaliser, trimmed to the largest ``a`` and ``b`` codes among the
+        complete rows, so observed and null values share one arithmetic.
         """
         job = self._cmi_job(a, b, *self._steps_for(conditioning, plain=True),
                             [a, b, *conditioning])
         if self._cmi_too_dense(job):
             return self.local.test(a, b, conditioning, n_permutations, alpha,
                                    seed)
-        observed = self._gather_cmis([job])[0]
+        x, y = self.frame.codes(a), self.frame.codes(b)
+        complete = (x >= 0) & (y >= 0)
+        for attribute in conditioning:
+            complete &= self.frame.codes(attribute) >= 0
+        tops = [(x[complete].max(initial=-1), y[complete].max(initial=-1))]
+        observed = float(permutation.null_cmis_from_counts(
+            self._counts([job])[0], tops,
+            job["n_x"], job["n_y"], job["n_z"])[0])
 
         def permute(budget):
             return self.pool.permutation_rounds(

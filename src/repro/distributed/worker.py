@@ -234,26 +234,28 @@ def _shard_worker_main(conn, shard_index: int, n_shards: int) -> None:
             ctx = payload["ctx"]
             x = store.build(ctx, payload["x"])
             y = store.build(ctx, payload["y"])
-            z = store.build(ctx, payload.get("z"))
-            weights = store.weights(ctx, payload.get("weights"))
+            z = store.build(ctx, payload["z"])
+            if z is None:
+                z = np.zeros(len(x), dtype=np.int64)
+            plan = permutation.PermutationPlan(z)
+            weights = store.weights(ctx, payload["weights"])
             start, chunk, count = (payload["start"], payload["chunk"],
                                    payload["count"])
-            rng_stream = payload.get("rng_stream",
-                                     permutation.RNG_STREAM_LEGACY)
-            parts = []
+            counts, tops = [], []
             produced = 0
             while produced < count:
                 index = start + produced
                 take = min(chunk - index % chunk, count - produced)
                 rng = spawn_rng(payload["seed"], "shard", shard_index,
                                 "chunk", index // chunk)
-                parts.append(permutation.block_partial_counts(
-                    x, y, z, payload["n_x"], payload["n_y"],
-                    payload.get("n_z", 1), weights, rng, take,
-                    rng_stream=rng_stream))
+                chunk_counts, chunk_tops = permutation.block_partial_counts(
+                    plan, x, y, z, payload["n_x"], payload["n_y"],
+                    payload["n_z"], weights, rng, take,
+                    rng_stream=payload["rng_stream"])
+                counts.append(chunk_counts)
+                tops.append(chunk_tops)
                 produced += take
-            return parts[0] if len(parts) == 1 else \
-                np.concatenate(parts, axis=0)
+            return np.concatenate(counts), np.concatenate(tops)
         if op == "present":
             fused = store.build(payload["ctx"], payload["steps"])
             return np.unique(fused[fused >= 0])

@@ -20,6 +20,10 @@ oracle runs, and the reference estimators in
 (one masked entropy call per term), which the tests use as oracles and the
 kernel falls back to on very wide code spaces.  The property tests assert
 both agree to 1e-9 on every estimate.
+
+Permutation tests live in :mod:`~repro.infotheory.permutation`: one count
+kernel, one finaliser and one driver loop, shared by the local test and
+the row-sharded one.
 """
 
 from repro.infotheory.encoding import (
@@ -55,7 +59,6 @@ from repro.infotheory.permutation import (
     PermutationOutcome,
     PermutationPlan,
     blocked_permutation_test,
-    sequential_permutation_test,
 )
 
 __all__ = [
@@ -81,5 +84,4 @@ __all__ = [
     "PermutationOutcome",
     "PermutationPlan",
     "blocked_permutation_test",
-    "sequential_permutation_test",
 ]

@@ -20,11 +20,12 @@ import numpy as np
 from repro.infotheory.encoding import joint_codes
 from repro.infotheory.mutual_information import conditional_mutual_information
 from repro.infotheory.permutation import (
+    BudgetedSequentialTest,
     PermutationBudget,
     PermutationOutcome,
     PermutationPlan,
     report_outcome,
-    sequential_permutation_test,
+    run_permutation_blocks,
 )
 from repro.utils.rng import make_rng
 
@@ -134,12 +135,13 @@ def conditional_independence_test(x: np.ndarray, y: np.ndarray,
     achievable p-value is ``1/(n_permutations+1)``, so at least 20
     permutations are needed for decisions at ``alpha=0.05``.
 
-    The permutation loop runs on the blocked engine's precomputed strata
-    plan (:mod:`repro.infotheory.permutation`) — same RNG stream, same
-    p-values, no per-permutation strata re-derivation.  ``budget`` (see
-    :func:`decide`) may stop the loop as soon as the verdict is determined
-    and extend ``n_permutations`` adaptively while the verdict stays
-    statistically uncertain.
+    The permutations run through the one permutation driver
+    (:func:`repro.infotheory.permutation.run_permutation_blocks`) over
+    one-permutation blocks of a precomputed strata plan, always on the
+    legacy RNG stream, so the p-values equal the historical per-permutation
+    loop's.  ``budget`` (see :func:`decide`) may stop the loop as soon as
+    the verdict is determined and extend ``n_permutations`` adaptively
+    while the verdict stays statistically uncertain.
     """
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
@@ -149,12 +151,17 @@ def conditional_independence_test(x: np.ndarray, y: np.ndarray,
     def run(policy: PermutationBudget) -> PermutationOutcome:
         strata = joint_codes(conditioning) if conditioning \
             else np.zeros(len(x), dtype=np.int64)
-        return sequential_permutation_test(
-            x, PermutationPlan(strata), make_rng(seed), observed,
-            n_permutations, alpha,
-            lambda permuted: conditional_mutual_information(
-                permuted, y, conditioning, weights=weights),
-            budget=policy)
+        plan = PermutationPlan(strata)
+        rng = make_rng(seed)
+
+        def null_block(_start: int, count: int):
+            return [conditional_mutual_information(
+                        permuted, y, conditioning, weights=weights)
+                    for permuted in plan.permute_block(x, rng, count)]
+
+        return run_permutation_blocks(
+            BudgetedSequentialTest(n_permutations, alpha, policy), observed,
+            1, null_block)
 
     return decide(observed, run, threshold=threshold,
                   dependent_threshold=dependent_threshold,

@@ -138,62 +138,15 @@ def joint_fused(code_arrays: Sequence[np.ndarray],
 # --------------------------------------------------------------------------- #
 # Every estimate in this module reduces to entropies of one weighted
 # contingency count over fused codes — and counts are *additive over row
-# partitions*.  ``accumulate`` produces the partial counts of one row
-# slice, ``merge_counts`` sums partials, and ``finalize`` /
+# partitions*.  ``cmi_counts`` and ``joint_counts`` produce the partial
+# counts of one row slice laid out with global cardinalities, and
 # ``cmi_from_counts`` / ``conditional_entropy_from_counts`` perform the
-# entropy step on the merged totals.  A shard worker that owns a row range
-# can therefore return partial count vectors whose sum yields *exactly*
+# entropy step on the summed totals.  A shard worker that owns a row range
+# can therefore return partial count tensors whose sum yields *exactly*
 # the whole-table estimate: integer (unweighted) counts merge exactly, and
 # weighted counts agree with the single-pass bincount to float summation
-# order (the property tests assert 1e-9).
-def accumulate(codes: np.ndarray, weights: Optional[np.ndarray] = None,
-               minlength: int = 0) -> np.ndarray:
-    """Partial contingency counts of one row slice (``-1`` rows dropped).
-
-    The returned vector is additive: summing the ``accumulate`` results of
-    any partition of the rows equals the whole-table count vector.  Counts
-    are float64 either way — integer counts are exact in float64 far past
-    any realistic row count, and a uniform dtype keeps merged partials
-    interchangeable with the single-process bincount.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    present = codes >= 0
-    if weights is None:
-        counts = np.bincount(codes[present], minlength=minlength)
-        return counts.astype(np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    return np.bincount(codes[present], weights=weights[present],
-                       minlength=minlength)
-
-
-def merge_counts(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum per-shard partial count vectors (ragged lengths are padded).
-
-    Shards that never observed the top codes return shorter vectors when
-    ``accumulate`` ran without ``minlength``; the merge pads every partial
-    to the widest shard's length before summing.
-    """
-    parts = [np.asarray(part, dtype=np.float64) for part in parts]
-    if not parts:
-        return np.zeros(0, dtype=np.float64)
-    width = max(part.shape[-1] if part.ndim else 0 for part in parts)
-    total = np.zeros(width, dtype=np.float64)
-    for part in parts:
-        total[:len(part)] += part
-    return total
-
-
-def finalize(counts: np.ndarray, estimator: str = "plugin",
-             base: float = 2.0) -> float:
-    """Entropy of merged partial counts — the gather half of the contract.
-
-    ``finalize(merge_counts(accumulate(part) for part in partition))``
-    equals ``contingency_entropy`` over the unpartitioned rows.
-    """
-    return entropy_from_counts(np.asarray(counts, dtype=np.float64),
-                               estimator=estimator, base=base)
-
-
+# order (the property tests assert 1e-9).  The permutation tests' partials
+# are :func:`repro.infotheory.permutation.block_partial_counts`.
 def cmi_counts(x: np.ndarray, y: np.ndarray,
                z: Optional[np.ndarray] = None,
                n_x: int = 0, n_y: int = 0, n_z: int = 1,
@@ -410,6 +363,33 @@ def contingency_conditional_entropy(target: np.ndarray,
 # --------------------------------------------------------------------------- #
 # independence testing on fused codes
 # --------------------------------------------------------------------------- #
+def local_test(x: np.ndarray, y: np.ndarray, z: Optional[np.ndarray],
+               n_z: Optional[int], weights: Optional[np.ndarray],
+               n_permutations: int, alpha: float, seed: Optional[int]):
+    """Observed ``I(X;Y|Z)`` of one local test and its permutation phase.
+
+    ``z`` is a fused conditioning code array (``None`` for the empty set)
+    and ``n_z`` its cardinality (inferred when omitted).  Returns
+    ``(observed, permute)``; ``permute(budget)`` runs
+    :func:`repro.infotheory.permutation.blocked_permutation_test` on a
+    generator seeded with ``seed`` and returns its outcome.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    observed = contingency_cmi(x, y, z, n_z=n_z, weights=weights)
+    strata = np.zeros(len(x), dtype=np.int64) if z is None \
+        else np.asarray(z, dtype=np.int64)
+    if z is None or n_z is None:
+        n_z = code_cardinality(strata)
+
+    def permute(budget):
+        return permutation.blocked_permutation_test(
+            x, y, strata, n_z, weights, observed, n_permutations, alpha,
+            make_rng(seed), budget=budget)
+
+    return observed, permute
+
+
 def fast_independence_test(x: np.ndarray, y: np.ndarray,
                            z: Optional[np.ndarray] = None,
                            n_z: Optional[int] = None,
@@ -424,9 +404,8 @@ def fast_independence_test(x: np.ndarray, y: np.ndarray,
     """Kernel-backed drop-in for ``conditional_independence_test``.
 
     The conditioning set arrives pre-fused (``z``/``n_z``) and is reused
-    across every permutation: permutations are sampled in blocks as one
-    fancy-index and all their contingency counts accumulate in one shared
-    ``bincount``
+    across every permutation: permutations are drawn in blocks and each
+    block is counted in one ``bincount``
     (:func:`repro.infotheory.permutation.blocked_permutation_test`).  The
     fused codes induce the same partition, in the same sorted order, as
     the reference ``joint_codes`` strata, so the RNG is consumed exactly
@@ -439,18 +418,10 @@ def fast_independence_test(x: np.ndarray, y: np.ndarray,
     observes ``perm_early_exit`` / ``perm_saved`` /
     ``perm_budget_extended`` / ``perm_budget_saved``.
     """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    observed = contingency_cmi(x, y, z, n_z=n_z, weights=weights)
-    strata = np.zeros(len(x), dtype=np.int64) if z is None \
-        else np.asarray(z, dtype=np.int64)
-    if z is None or n_z is None:
-        n_z = code_cardinality(strata)
+    observed, permute = local_test(x, y, z, n_z, weights, n_permutations,
+                                   alpha, seed)
     return decide(
-        observed,
-        lambda policy: permutation.blocked_permutation_test(
-            x, y, strata, n_z, weights, observed, n_permutations, alpha,
-            make_rng(seed), budget=policy),
+        observed, permute,
         threshold=threshold, dependent_threshold=dependent_threshold,
         n_permutations=n_permutations, alpha=alpha, budget=budget,
         counter_hook=counter_hook)

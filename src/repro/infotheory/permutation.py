@@ -1,35 +1,31 @@
-"""Blocked permutation engine with a sequential early-exit test.
+"""Stratified permutation tests: one count kernel, one finaliser, one loop.
 
-Both independence tests (:func:`repro.infotheory.independence.
-conditional_independence_test` and :func:`repro.infotheory.kernel.
-fast_independence_test`) estimate a permutation p-value by re-computing the
-CMI after permuting ``X`` within strata of the conditioning set.  A
-per-permutation loop pays three avoidable costs *per permutation*:
+Every conditional-independence test in the package estimates a
+permutation p-value by re-computing the CMI after permuting ``X`` within
+strata of the conditioning set ``Z``.  Local and row-sharded tests share
+three pieces, so the local test is the one-shard case of the sharded one:
 
-* re-deriving the strata (``np.unique`` + one ``np.where`` per stratum —
-  ``O(n · n_strata)``) although the strata never change;
-* one full Python round-trip through the estimator per permutation;
-* one independent ``bincount`` per permutation although the conditioning
-  codes are already fused.
-
-This module restructures the permutation layer:
-
-* :class:`PermutationPlan` precomputes the stratum index lists once.  Its
-  :meth:`~PermutationPlan.permute` draws ``rng.permutation`` per stratum in
-  exactly the order (sorted stratum values, ascending row indices) of the
-  historical ``_permute_within_strata``, so the RNG stream — and therefore
-  every permutation, p-value and verdict — is bit-for-bit identical.
-* :func:`blocked_permutation_test` samples permutations in blocks: one
-  ``(B, n)`` permuted-code matrix, one shared ``np.bincount`` over
-  per-permutation offset fused codes, then the per-permutation entropies are
-  read off prefix-trimmed views of the count tensor with the *same*
-  arithmetic as :func:`repro.infotheory.kernel.contingency_cmi` — the null
-  CMIs (and hence the p-values) are bit-identical to scoring each
-  permutation with the kernel while paying one ``bincount`` per block
-  instead of per permutation.
-* :func:`sequential_permutation_test` drives an arbitrary per-permutation
-  statistic (the reference estimators use this) through the same plan and
-  early-exit decision.
+* **One count kernel.**  :func:`block_partial_counts` draws a block of
+  permutations over a :class:`PermutationPlan` (the strata, derived once
+  per test) and counts all of them in one ``bincount``.  It returns the
+  ``(count, cells)`` contingency counts and each permutation's largest
+  ``x`` and ``y`` code among its complete rows.  The local test runs it
+  over the whole frame.  Each shard worker runs it over its own rows, and
+  the coordinator sums the shards' counts in shard order and merges their
+  bounds by max.
+* **One finaliser.**  :func:`null_cmis_from_counts` trims each merged
+  count tensor to its bounds and takes the CMI with
+  :func:`repro.infotheory.kernel.cmi_from_counts`.  The trimmed tensor is
+  the one :func:`repro.infotheory.kernel.contingency_cmi` would count for
+  that permutation, so local null CMIs, and the p-values, equal a
+  per-permutation loop of the scalar kernel exactly.  The sharded test
+  finalises its observed CMI the same way.
+* **One loop.**  :func:`run_permutation_blocks` requests blocks and feeds
+  each null statistic through :class:`BudgetedSequentialTest` until the
+  budget is spent or the verdict is decided.  Statistics that do not come
+  from counts (the reference test's estimator, and the scalar kernel on
+  code spaces too wide to count densely) run through it over
+  one-permutation blocks.
 
 Early exit (``PermutationBudget(early_exit=True)``) is a *sequential* test
 on the exceedance count.  Two deterministic bounds never flip the
@@ -56,29 +52,31 @@ through the sequential decision.  A test that never extends exits exactly
 as the fixed-budget sequential test would (same bracket, same verdict); a
 test that does extend was, by construction, statistically uncertain at
 the base budget, and its final verdict rests on a strictly larger sample.
-:class:`BudgetedSequentialTest` is the one decision object shared by
-every driver — the scalar loop, the blocked kernel driver and the
+:class:`BudgetedSequentialTest` holds that decision, and
+:func:`run_permutation_blocks` is its only driver: the local test, the
 row-sharded coordinator
 (:meth:`repro.distributed.coordinator.ShardPool.permutation_rounds`,
 whose chunk-aligned per-shard RNG streams make extension deterministic
-and resume-safe) — and the last two share one block loop,
-:func:`run_permutation_blocks`.
+and resume-safe) and the per-permutation statistics all run through it.
 
 RNG streams: ``rng_stream="legacy"`` (default) draws one Fisher–Yates
-permutation per stratum per permutation — bit-identical to the
-historical loop.  ``rng_stream="argsort"`` instead draws one ``(B, n)``
+permutation per stratum per permutation, so a block of ``B``
+permutations consumes the generator exactly as ``B`` one-permutation
+blocks do.  ``rng_stream="argsort"`` instead draws one ``(B, n)``
 uniform block and stably argsorts random keys within strata — a
 *different but documented* stream producing exchangeable stratified
 permutations from the same generator, acceptable wherever the
 exact-count contract already does not apply (early-exit and adaptive
-modes) and several times faster on many-strata plans.
+modes) and several times faster on many-strata plans.  Local and sharded
+tests draw from the stream their budget names; the reference test always
+draws the legacy stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import beta
@@ -132,19 +130,15 @@ class PermutationPlan:
     strata sorted by code value, indices ascending within a stratum.
     """
 
-    __slots__ = ("n_rows", "groups", "_argsort_rows", "_argsort_segments")
+    __slots__ = ("groups", "_argsort_rows", "_argsort_segments")
 
     def __init__(self, strata: np.ndarray):
         strata = np.asarray(strata)
-        self.n_rows = len(strata)
-        groups: List[np.ndarray] = []
-        if self.n_rows:
-            order = np.argsort(strata, kind="stable").astype(np.int64)
-            sorted_strata = strata[order]
-            boundaries = np.flatnonzero(sorted_strata[1:] != sorted_strata[:-1]) + 1
-            groups = [group for group in np.split(order, boundaries)
-                      if len(group) > 1]
-        self.groups = groups
+        order = np.argsort(strata, kind="stable").astype(np.int64)
+        sorted_strata = strata[order]
+        boundaries = np.flatnonzero(sorted_strata[1:] != sorted_strata[:-1]) + 1
+        self.groups: List[np.ndarray] = [
+            group for group in np.split(order, boundaries) if len(group) > 1]
         self._argsort_rows: Optional[np.ndarray] = None
         self._argsort_segments: Optional[np.ndarray] = None
 
@@ -166,23 +160,18 @@ class PermutationPlan:
                 self._argsort_segments = np.zeros(0, dtype=np.float64)
         return self._argsort_rows, self._argsort_segments
 
-    def permute(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One stratified permutation of ``x`` (same RNG stream as legacy)."""
-        permuted = x.copy()
-        for indices in self.groups:
-            permuted[indices] = x[rng.permutation(indices)]
-        return permuted
-
     def permute_block(self, x: np.ndarray, rng: np.random.Generator,
                       count: int,
                       rng_stream: str = RNG_STREAM_LEGACY) -> np.ndarray:
         """A ``(count, n)`` matrix of stratified permutations of ``x``.
 
-        With the default legacy stream, row ``b`` equals the ``b``-th
-        sequential :meth:`permute` draw, so a block of ``count``
-        permutations consumes the RNG exactly as ``count`` scalar draws
-        would.  With ``rng_stream="argsort"`` the block is sampled as one
-        uniform ``(count, m)`` draw over the multi-member stratum rows
+        With the default legacy stream, each row draws
+        ``rng.permutation`` per multi-member stratum in plan order (the
+        order of the historical ``_permute_within_strata``), so a block of
+        ``count`` permutations consumes the RNG exactly as ``count``
+        one-row blocks would.  With ``rng_stream="argsort"`` the block is
+        sampled as one uniform ``(count, m)`` draw over the multi-member
+        stratum rows
         followed by a segmented stable argsort — exchangeable within every
         stratum, but a *different* (documented) stream: the same seed no
         longer reproduces the legacy permutations.
@@ -306,43 +295,25 @@ class PermutationBudget:
         return max(base, self.max_permutations)
 
 
+@dataclass(frozen=True)
 class PermutationOutcome:
     """Result of one (possibly budget-extended) permutation run.
 
-    Iterates as the historical ``(exceed, n_run, verdict, computed)``
-    tuple, so existing unpacking call sites keep working; ``extensions``
-    and ``target`` additionally record how often the budget grew and the
-    final permutation target.
+    ``exceed`` of the ``n_run`` null statistics the decision saw reached
+    the observed one.  ``verdict`` is the sequential early decision
+    (``None`` when the run went to completion, and the caller derives the
+    verdict from the p-value).  ``computed`` counts every null statistic
+    scored, including a block's look-ahead past an early decision.
+    ``extensions`` and ``target`` record how often an adaptive budget
+    grew and the final permutation target.
     """
 
-    __slots__ = ("exceed", "n_run", "verdict", "computed", "extensions",
-                 "target")
-
-    def __init__(self, exceed: int, n_run: int, verdict: Optional[bool],
-                 computed: int, extensions: int = 0,
-                 target: Optional[int] = None):
-        self.exceed = exceed
-        self.n_run = n_run
-        self.verdict = verdict
-        self.computed = computed
-        self.extensions = extensions
-        self.target = n_run if target is None else target
-
-    def __iter__(self):
-        return iter((self.exceed, self.n_run, self.verdict, self.computed))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PermutationOutcome):
-            return (tuple(self) == tuple(other)
-                    and self.extensions == other.extensions
-                    and self.target == other.target)
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PermutationOutcome(exceed={self.exceed}, "
-                f"n_run={self.n_run}, verdict={self.verdict}, "
-                f"computed={self.computed}, extensions={self.extensions}, "
-                f"target={self.target})")
+    exceed: int
+    n_run: int
+    verdict: Optional[bool]
+    computed: int
+    extensions: int
+    target: int
 
     @property
     def p_value(self) -> float:
@@ -358,10 +329,9 @@ class PermutationOutcome:
 class BudgetedSequentialTest:
     """Mutable decision state of one budgeted sequential permutation test.
 
-    Every driver (scalar, blocked, sharded coordinator) feeds exceedance
-    outcomes through :meth:`update` one permutation at a time; the object
-    owns the early-exit decision *and* the extension decision, so the
-    three drivers cannot drift apart:
+    :func:`run_permutation_blocks` feeds exceedance outcomes through
+    :meth:`update` one permutation at a time; the object owns the
+    early-exit decision *and* the extension decision:
 
     * while ``done < target`` the sequential verdict applies whenever
       ``early_exit`` is set, or unconditionally once the test is past its
@@ -439,8 +409,8 @@ def report_outcome(counter_hook, outcome: PermutationOutcome,
     look-ahead), not ``n_run``.
 
     Also tags the innermost open trace span (the per-test
-    ``permutation_test`` span) with the outcome, so every driver —
-    scalar, blocked, sharded — reports identically.
+    ``permutation_test`` span) with the outcome, so local and sharded
+    tests report identically.
     """
     trace.annotate(
         permutations_run=outcome.n_run,
@@ -463,171 +433,106 @@ def report_outcome(counter_hook, outcome: PermutationOutcome,
 
 
 # --------------------------------------------------------------------------- #
-# generic (estimator-agnostic) sequential driver
+# the count kernel and the finaliser
 # --------------------------------------------------------------------------- #
-def sequential_permutation_test(
-        x: np.ndarray, plan: PermutationPlan, rng: np.random.Generator,
-        observed: float, n_permutations: int, alpha: float,
-        null_statistic: Callable[[np.ndarray], float],
-        budget: Optional[PermutationBudget] = None) -> PermutationOutcome:
-    """Drive a per-permutation statistic through the plan.
+def block_partial_counts(plan: PermutationPlan, x: np.ndarray,
+                         y: np.ndarray, z: np.ndarray,
+                         n_x: int, n_y: int, n_z: int,
+                         weights: Optional[np.ndarray],
+                         rng: np.random.Generator, count: int,
+                         rng_stream: str = RNG_STREAM_LEGACY,
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """Contingency counts of ``count`` stratified permutations of ``x``.
 
-    Returns a :class:`PermutationOutcome` — unpackable as the historical
-    ``(exceed, n_run, verdict, computed)`` tuple, where ``verdict`` is the
-    early decision (``None`` when the test ran to completion — the caller
-    then derives the verdict from the p-value as before) and ``computed``
-    is the number of null statistics actually evaluated (equal to
-    ``n_run`` here; the blocked driver may look ahead).  With the default
-    budget (fixed, no early exit) this is a bit-identical restructuring of
-    the historical loop: same permutations, same statistics, same counts.
-    An adaptive ``budget`` may extend ``n_permutations`` geometrically
-    while the verdict stays uncertain (always on the legacy scalar RNG
-    stream — this driver never batches).
+    ``plan`` holds the strata of ``z``.  Returns ``(counts, tops)``:
+    ``counts`` is a ``(count, n_z * n_y * n_x)`` matrix of (weighted)
+    counts over each permutation's complete rows, and ``tops`` is a
+    ``(count, 2)`` array of each permutation's largest ``x`` and ``y``
+    code among its complete rows (``-1`` when it has none).
+
+    With cardinalities that cover every code, counts add over any row
+    partition and bounds merge by max, so a shard counts its own rows and
+    the merge equals the whole table's counts (to float summation order
+    when weighted).  A shard's strata are (shard × stratum), a finer
+    stratification that is equally valid under the permutation null.
     """
-    state = BudgetedSequentialTest(n_permutations, alpha, budget)
-    verdict: Optional[bool] = None
-    while state.want_more:
-        permuted = plan.permute(x, rng)
-        verdict = state.update(null_statistic(permuted) >= observed)
-        if verdict is not None:
-            break
-    return state.outcome(verdict, state.done)
-
-
-# --------------------------------------------------------------------------- #
-# blocked kernel driver (fused conditioning codes)
-# --------------------------------------------------------------------------- #
-def _block_null_cmis(x_block: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     n_z: int, weights: Optional[np.ndarray]) -> np.ndarray:
-    """Null CMIs of every permutation row of ``x_block`` in one bincount.
-
-    Bit-identical to calling :func:`repro.infotheory.kernel.contingency_cmi`
-    per row: cells accumulate in the same row order, and the entropies are
-    read off per-permutation *prefix-trimmed* views of the count tensor so
-    every reduction runs over exactly the array the scalar kernel builds.
-    """
-    from repro.infotheory.kernel import cmi_from_counts
-
-    n_block, n_rows = x_block.shape
-    base_mask = (y >= 0) & (z >= 0)
-    valid = base_mask[None, :] & (x_block >= 0)
-    # Per-permutation cardinalities: the scalar kernel derives n_x / n_y
-    # from each permutation's complete cases (n_z arrives precomputed).
-    masked_x = np.where(valid, x_block, -1)
-    masked_y = np.where(valid, y[None, :], -1)
-    n_x_rows = masked_x.max(axis=1) + 1
-    n_y_rows = masked_y.max(axis=1) + 1
-    n_x = int(n_x_rows.max()) if n_block else 0
-    n_y = int(n_y_rows.max()) if n_block else 0
-    cmis = np.zeros(n_block, dtype=np.float64)
-    if n_x <= 0 or n_y <= 0:
-        return cmis
-    cells = n_x * n_y * n_z
-    fused = (z[None, :] * n_y + y[None, :]) * n_x + masked_x
-    fused += np.arange(n_block, dtype=np.int64)[:, None] * cells
-    flat_valid = valid.ravel()
-    flat_fused = fused.ravel()[flat_valid]
-    if weights is not None:
-        flat_weights = np.broadcast_to(weights, (n_block, n_rows)).ravel()[flat_valid]
-        counts = np.bincount(flat_fused, weights=flat_weights,
-                             minlength=n_block * cells)
-    else:
-        counts = np.bincount(flat_fused, minlength=n_block * cells).astype(np.float64)
-    counts = counts.reshape(n_block, n_z, n_y, n_x)
-    for index in range(n_block):
-        if not valid[index].any():
-            continue
-        # Prefix-trim to this permutation's (n_z, n_y_b, n_x_b) shape — and
-        # make it contiguous — so the marginal reductions run over the exact
-        # arrays the scalar kernel would reduce (identical layouts and
-        # therefore identical pairwise-summation trees).
-        cmis[index] = cmi_from_counts(np.ascontiguousarray(
-            counts[index, :, :int(n_y_rows[index]), :int(n_x_rows[index])]))
-    return cmis
-
-
-def blocked_permutation_test(
-        x: np.ndarray, y: np.ndarray, z: np.ndarray, n_z: int,
-        weights: Optional[np.ndarray], observed: float,
-        n_permutations: int, alpha: float, rng: np.random.Generator,
-        budget: PermutationBudget) -> PermutationOutcome:
-    """Blocked permutation p-value machinery over fused conditioning codes.
-
-    Samples permutations in blocks (one fancy-index + one shared bincount
-    per block) and feeds the exceedance count through the sequential
-    decision.  Returns a :class:`PermutationOutcome` (unpackable as the
-    historical ``(exceed, n_run, verdict, computed)``) like
-    :func:`sequential_permutation_test` — ``computed`` counts the null
-    CMIs actually evaluated, which on an early exit includes the current
-    block's look-ahead beyond ``n_run`` (the decision only sees a block
-    after it is scored), so callers reporting savings use ``computed``,
-    not ``n_run``.  With the default budget (fixed, no early exit, legacy
-    RNG stream) the exceedance count — and therefore the p-value — is
-    bit-identical to a per-permutation loop of
-    :func:`repro.infotheory.kernel.contingency_cmi` over the same RNG
-    stream.  An adaptive ``budget`` extends the target
-    geometrically while the Clopper–Pearson interval straddles ``alpha``;
-    look-ahead permutations already scored when an extension fires are
-    consumed, not re-drawn.
-    """
-    from repro.infotheory import kernel
-
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
-    plan = PermutationPlan(z)
-    present_x = x[x >= 0]
-    present_y = y[y >= 0]
-    n_x_bound = int(present_x.max()) + 1 if present_x.size else 1
-    n_y_bound = int(present_y.max()) + 1 if present_y.size else 1
-    cells_bound = n_x_bound * n_y_bound * max(1, n_z)
-    if cells_bound > kernel.DENSE_CELL_LIMIT:
-        # Pathologically wide code spaces take the scalar kernel per
-        # permutation (which compacts / falls back as needed); the plan
-        # still removes the per-permutation strata re-derivation.  The
-        # scalar driver always draws the legacy stream.
-        return sequential_permutation_test(
-            x, plan, rng, observed, n_permutations, alpha,
-            lambda permuted: kernel.contingency_cmi(
-                permuted, y, z, n_z=n_z, weights=weights),
-            budget=budget)
-    # Blocking never changes the legacy RNG stream (permutations are drawn
-    # sequentially regardless of block boundaries), so the block schedule
-    # only trades batching width against wasted look-ahead.
-    def null_block(_start: int, count: int) -> np.ndarray:
-        block = plan.permute_block(x, rng, count,
-                                   rng_stream=budget.rng_stream)
-        return _block_null_cmis(block, y, z, n_z, weights)
+    cells = n_x * n_y * max(1, n_z)
+    block = plan.permute_block(x, rng, count, rng_stream=rng_stream)
+    valid = ((y >= 0) & (z >= 0))[None, :] & (block >= 0)
+    masked_x = np.where(valid, block, -1)
+    tops = np.stack([masked_x.max(axis=1, initial=-1),
+                     np.where(valid, y, -1).max(axis=1, initial=-1)], axis=1)
+    fused = (z * n_y + y)[None, :] * n_x + masked_x
+    fused += np.arange(count, dtype=np.int64)[:, None] * cells
+    flat_valid = valid.ravel()
+    flat_fused = fused.ravel()[flat_valid]
+    if weights is not None:
+        flat_weights = np.broadcast_to(
+            np.asarray(weights, dtype=np.float64),
+            (count, len(x))).ravel()[flat_valid]
+        counts = np.bincount(flat_fused, weights=flat_weights,
+                             minlength=count * cells)
+    else:
+        counts = np.bincount(flat_fused,
+                             minlength=count * cells).astype(np.float64)
+    return counts.reshape(count, cells), tops
 
-    return run_permutation_blocks(
-        BudgetedSequentialTest(n_permutations, alpha, budget), observed,
-        cells_bound, len(x), null_block)
+
+def null_cmis_from_counts(counts: np.ndarray, tops: Sequence,
+                          n_x: int, n_y: int, n_z: int) -> np.ndarray:
+    """Null CMIs of merged ``(count, cells)`` counts and ``(count, 2)`` bounds.
+
+    Each tensor is trimmed to ``(n_z, y_top + 1, x_top + 1)`` before the
+    entropy step: the shape :func:`repro.infotheory.kernel.contingency_cmi`
+    gives the same complete rows, so both reduce the same array in the
+    same order.  A tensor without complete rows scores 0.
+    """
+    from repro.infotheory.kernel import cmi_from_counts
+
+    tensors = np.asarray(counts, dtype=np.float64).reshape(
+        -1, max(1, n_z), n_y, n_x)
+    cmis = np.zeros(len(tensors), dtype=np.float64)
+    for index, (x_top, y_top) in enumerate(tops):
+        if x_top >= 0 and y_top >= 0:
+            cmis[index] = cmi_from_counts(np.ascontiguousarray(
+                tensors[index, :, :y_top + 1, :x_top + 1]))
+    return cmis
+
+
+# --------------------------------------------------------------------------- #
+# the driver loop
+# --------------------------------------------------------------------------- #
+def block_width(cells: int, n_rows: int) -> int:
+    """The widest block of counted permutations the memory budgets allow."""
+    return max(1, min(BLOCK_CELL_BUDGET // max(1, cells),
+                      BLOCK_ROW_BUDGET // max(1, n_rows)))
 
 
 def run_permutation_blocks(state: BudgetedSequentialTest, observed: float,
-                           cells: int, n_rows: int,
-                           null_block: Callable[[int, int], np.ndarray],
+                           widest: int,
+                           null_block: Callable[[int, int], Sequence[float]],
                            align: int = 1) -> PermutationOutcome:
-    """The block loop of the local and the row-sharded permutation drivers.
+    """The one permutation driver loop, local and row-sharded.
 
     ``null_block(start, count)`` scores permutations ``start`` to
     ``start + count - 1`` and returns their null statistics, which are fed
-    through ``state`` one at a time.  A block is at most as wide as the
-    cell and row budgets allow (``cells`` per permutation, ``n_rows``
-    rows), rounded down to a multiple of ``align``.  Under early exit or
-    an adaptive budget the width ramps geometrically from
-    :data:`EARLY_EXIT_INITIAL_BLOCK`, and the ramp restarts whenever the
-    budget extends: extension phases check the verdict after every draw,
-    so the first-draw exit must not pay for a full-width block.  Under an
-    adaptive budget a request is rounded up to whole ``align``-sized
-    chunks, never past the cap, so an extension resumes on a chunk
-    boundary; look-ahead already scored when an extension fires is
+    through ``state`` one at a time.  A block is at most ``widest``
+    permutations (and the cap), rounded down to a multiple of ``align``.
+    Under early exit or an adaptive budget the width ramps geometrically
+    from :data:`EARLY_EXIT_INITIAL_BLOCK`, and the ramp restarts whenever
+    the budget extends: extension phases check the verdict after every
+    draw, so the first-draw exit must not pay for a full-width block.
+    Under an adaptive budget a request is rounded up to whole
+    ``align``-sized chunks, never past the cap, so an extension resumes on
+    a chunk boundary; look-ahead already scored when an extension fires is
     consumed, not re-drawn.  ``computed`` counts every statistic scored,
-    look-ahead included.
+    look-ahead included, so with ``widest=1`` it equals ``n_run``.
     """
     budget = state.budget
-    widest = max(1, min(state.cap, BLOCK_CELL_BUDGET // max(1, cells),
-                        BLOCK_ROW_BUDGET // max(1, n_rows)))
+    widest = max(1, min(state.cap, widest))
     widest = max(align, widest - widest % align)
     sequential = budget.early_exit or budget.adaptive
     ramp = EARLY_EXIT_INITIAL_BLOCK if sequential else widest
@@ -654,72 +559,49 @@ def run_permutation_blocks(state: BudgetedSequentialTest, observed: float,
     return state.outcome(None, drawn)
 
 
-# --------------------------------------------------------------------------- #
-# sharded permutation partials (scatter-gather data plane)
-# --------------------------------------------------------------------------- #
-def block_partial_counts(x: np.ndarray, y: np.ndarray,
-                         z: Optional[np.ndarray],
-                         n_x: int, n_y: int, n_z: int,
-                         weights: Optional[np.ndarray],
-                         rng: np.random.Generator,
-                         count: int,
-                         rng_stream: str = RNG_STREAM_LEGACY) -> np.ndarray:
-    """Partial permutation-null count tensors of one row shard.
+def blocked_permutation_test(
+        x: np.ndarray, y: np.ndarray, z: np.ndarray, n_z: int,
+        weights: Optional[np.ndarray], observed: float,
+        n_permutations: int, alpha: float, rng: np.random.Generator,
+        budget: PermutationBudget) -> PermutationOutcome:
+    """The local permutation phase: the one-shard case of the sharded test.
 
-    Permutes ``x`` within the strata of this shard's ``z`` slice — a
-    *finer* stratification than whole-table strata (shard × stratum), which
-    is equally valid under the permutation null — and returns a
-    ``(count, n_z * n_y * n_x)`` matrix of partial contingency counts.
-    All cardinalities are global, so summing the matrices of every shard
-    yields, per permutation, a full count tensor ready for
-    :func:`repro.infotheory.kernel.cmi_from_counts`.  Each shard draws from
-    its own generator, keeping the null distribution deterministic for any
-    shard count without coordinating RNG state; ``rng_stream`` selects the
-    per-shard sampling stream (see :meth:`PermutationPlan.permute_block`).
+    Permutes ``x`` within the strata of ``z`` in blocks, counts each
+    block over the whole frame with :func:`block_partial_counts`,
+    finalises it with :func:`null_cmis_from_counts` and feeds the null
+    CMIs through :func:`run_permutation_blocks`.  With the default budget
+    (fixed, no early exit, legacy stream) the p-value equals a
+    per-permutation loop of :func:`repro.infotheory.kernel.contingency_cmi`
+    over the same RNG stream exactly.  Code spaces wider than the
+    kernel's dense-cell limit score one permutation at a time with
+    ``contingency_cmi`` (which compacts, or falls back to the reference
+    estimator), drawing from the same stream.
     """
+    from repro.infotheory import kernel
+
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    if z is None:
-        z = np.zeros(len(x), dtype=np.int64)
-    else:
-        z = np.asarray(z, dtype=np.int64)
-    cells = n_x * n_y * max(1, n_z)
-    if len(x) == 0 or count <= 0:
-        return np.zeros((max(0, count), cells), dtype=np.float64)
+    z = np.asarray(z, dtype=np.int64)
     plan = PermutationPlan(z)
-    block = plan.permute_block(x, rng, count, rng_stream=rng_stream)
-    valid = (y >= 0)[None, :] & (z >= 0)[None, :] & (block >= 0)
-    masked_x = np.where(valid, block, 0)
-    fused = (z[None, :] * n_y + y[None, :]) * n_x + masked_x
-    fused += np.arange(count, dtype=np.int64)[:, None] * cells
-    flat_valid = valid.ravel()
-    flat_fused = fused.ravel()[flat_valid]
-    if weights is not None:
-        flat_weights = np.broadcast_to(
-            np.asarray(weights, dtype=np.float64),
-            (count, len(x))).ravel()[flat_valid]
-        counts = np.bincount(flat_fused, weights=flat_weights,
-                             minlength=count * cells)
-    else:
-        counts = np.bincount(flat_fused,
-                             minlength=count * cells).astype(np.float64)
-    return counts.reshape(count, cells)
+    state = BudgetedSequentialTest(n_permutations, alpha, budget)
+    n_x = kernel.code_cardinality(x)
+    n_y = kernel.code_cardinality(y)
+    cells = n_x * n_y * max(1, n_z)
+    if cells > kernel.DENSE_CELL_LIMIT:
+        def scalar_block(_start: int, count: int) -> List[float]:
+            block = plan.permute_block(x, rng, count,
+                                       rng_stream=budget.rng_stream)
+            return [kernel.contingency_cmi(row, y, z, n_z=n_z,
+                                           weights=weights)
+                    for row in block]
 
+        return run_permutation_blocks(state, observed, 1, scalar_block)
 
-def null_cmis_from_counts(counts: np.ndarray, n_x: int, n_y: int, n_z: int,
-                          estimator: str = "plugin",
-                          base: float = 2.0) -> np.ndarray:
-    """Null CMIs from merged ``(count, cells)`` permutation partials.
+    def null_block(_start: int, count: int) -> np.ndarray:
+        counts, tops = block_partial_counts(
+            plan, x, y, z, n_x, n_y, n_z, weights, rng, count,
+            rng_stream=budget.rng_stream)
+        return null_cmis_from_counts(counts, tops, n_x, n_y, n_z)
 
-    The tensors keep their global (untrimmed) dimensions; padding cells are
-    empty and entropies ignore empty cells, so each value equals the CMI of
-    the corresponding whole-table permutation counts.
-    """
-    from repro.infotheory.kernel import cmi_from_counts
-
-    counts = np.asarray(counts, dtype=np.float64)
-    cmis = np.zeros(counts.shape[0], dtype=np.float64)
-    for index in range(counts.shape[0]):
-        tensor = counts[index].reshape(max(1, n_z), n_y, n_x)
-        cmis[index] = cmi_from_counts(tensor, estimator=estimator, base=base)
-    return cmis
+    return run_permutation_blocks(state, observed,
+                                  block_width(cells, len(x)), null_block)

@@ -8,9 +8,9 @@ Three small, dependency-free pieces:
   context out and spans back, so one trace id stitches
   front-end → worker → shard work into a single tree).
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket latency
-  histograms with interpolated quantiles, all with additive JSON-safe
-  snapshots that merge across workers, plus a Prometheus text renderer
-  over ``stats()`` snapshots (one path for every topology).
+  histograms with interpolated quantiles, all with JSON-safe snapshots,
+  plus a Prometheus text renderer over ``stats()`` snapshots (one path
+  for every topology).
 * :mod:`repro.obs.logs` — a JSON line formatter and the slow-query log.
 
 Everything is on by default and engineered to cost ~nothing when no
@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_metric_states,
     prometheus_text,
 )
 from repro.obs.trace import (
@@ -54,7 +53,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_metric_states",
     "prometheus_text",
     "RequestTrace",
     "Span",

@@ -1,11 +1,9 @@
 """Metrics: counters, gauges, latency histograms, and Prometheus text.
 
 The registry is deliberately tiny — three metric kinds, all with
-JSON-safe, *additive* state dicts, so snapshots merge
-(:func:`merge_metric_states`) the way engine counters do: by summing.
-A :class:`Histogram` is a fixed set of cumulative-style buckets (we
-store per-bucket counts and cumulate at render time), which makes
-merging a vector add and quantile estimation a linear interpolation
+JSON-safe state dicts.  A :class:`Histogram` is a fixed set of
+cumulative-style buckets (we store per-bucket counts and cumulate at
+render time), which makes quantile estimation a linear interpolation
 inside the winning bucket — the standard Prometheus client trade-off.
 
 Rendering is a pure function over a ``stats()`` snapshot
@@ -19,14 +17,13 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_metric_states",
     "process_maxrss_kb",
     "prometheus_text",
     "DEFAULT_LATENCY_BUCKETS",
@@ -188,7 +185,7 @@ def _bucket_quantile(buckets: Sequence[float], counts: Sequence[int],
 
 
 class MetricsRegistry:
-    """A process-local set of named metrics with a mergeable snapshot."""
+    """A process-local set of named metrics with a JSON-safe snapshot."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -223,43 +220,6 @@ class MetricsRegistry:
         with self._lock:
             metrics = list(self._metrics.values())
         return [metric.state() for metric in metrics]
-
-
-def merge_metric_states(states: Iterable[Optional[Sequence[Dict[str, Any]]]],
-                        ) -> List[Dict[str, Any]]:
-    """Sum metric snapshots (say, of several processes) into one.
-
-    Counters and gauges add (a summed gauge is the total — e.g. queue
-    depth across processes); histograms add bucket-wise when their bucket
-    layouts agree, which they do for every series we emit.
-    """
-    merged: "Dict[Tuple[str, str, _LabelKey], Dict[str, Any]]" = {}
-    for state in states:
-        if not state:
-            continue
-        for entry in state:
-            key = (entry.get("type", ""), entry.get("name", ""),
-                   _label_key(entry.get("labels")))
-            existing = merged.get(key)
-            if existing is None:
-                copied = dict(entry)
-                copied["labels"] = dict(entry.get("labels") or {})
-                if entry.get("type") == "histogram":
-                    copied["buckets"] = list(entry.get("buckets", ()))
-                    copied["counts"] = list(entry.get("counts", ()))
-                merged[key] = copied
-            elif entry.get("type") == "histogram":
-                if list(existing.get("buckets", ())) == list(
-                        entry.get("buckets", ())):
-                    counts = existing["counts"]
-                    for i, c in enumerate(entry.get("counts", ())):
-                        counts[i] += c
-                    existing["sum"] += entry.get("sum", 0.0)
-                    existing["count"] += entry.get("count", 0)
-            else:
-                existing["value"] = existing.get("value", 0.0) + entry.get(
-                    "value", 0.0)
-    return list(merged.values())
 
 
 # --------------------------------------------------------------------------- #

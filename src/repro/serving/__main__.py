@@ -105,13 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="Worker start method (default: fork where "
                              "available, else spawn)")
-    parser.add_argument("--frame-store", choices=("auto", "on", "off"),
+    parser.add_argument("--frame-store", choices=("auto", "off"),
                         default="auto",
                         help="Shared-memory frame store: hold the encoded "
                              "dataset in POSIX shared segments that workers "
-                             "map read-only instead of copying ('auto' and "
-                             "'on' = on for --workers > 1 when /dev/shm "
-                             "works; silently falls back to the copy path "
+                             "map read-only instead of copying ('auto' = on "
+                             "for --workers > 1 when /dev/shm works; "
+                             "silently falls back to the copy path "
                              "otherwise)")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="SQLite path for the durable metastore: "

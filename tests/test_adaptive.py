@@ -10,9 +10,10 @@ Three pillars, matching the scheduler's three parts:
   target exhaustion).  The pure-python incomplete-beta fallback matches
   ``scipy.stats.beta.ppf`` to high precision.
 * **Vectorised argsort sampling** — the ``"argsort"`` RNG stream permutes
-  strictly within strata, leaves rows outside every stratum untouched, and
+  strictly within strata, leaves rows outside every stratum untouched,
   produces p-values distributed like the legacy Fisher–Yates stream (ECDF
-  distance over many seeds).
+  distance over many seeds), and is the stream the wide-code fallback
+  draws too.
 * **Speculative pipelined search** — MCIMR with speculation on returns
   bit-identical explanations to the sequential schedule, locally and over a
   row-sharded pool, for every registered explainer; the
@@ -83,10 +84,14 @@ class TestPermutationBudget:
         assert PermutationBudget().cap(20) == 20
 
     def test_outcome_iterates_as_legacy_tuple(self):
+        """The outcome is read by attribute; it no longer iterates."""
         outcome = PermutationOutcome(3, 20, None, 20, extensions=1, target=40)
-        exceed, n_run, verdict, computed = outcome
-        assert (exceed, n_run, verdict, computed) == (3, 20, None, 20)
-        assert outcome == (3, 20, None, 20)
+        assert (outcome.exceed, outcome.n_run, outcome.verdict,
+                outcome.computed) == (3, 20, None, 20)
+        assert (outcome.extensions, outcome.target) == (1, 40)
+        assert outcome == PermutationOutcome(3, 20, None, 20, 1, 40)
+        with pytest.raises(TypeError):
+            iter(outcome)
         assert outcome.p_value == pytest.approx(4 / 21)
         assert outcome.independent(0.05) is True
         assert outcome.independent(0.5) is False
@@ -258,6 +263,36 @@ class TestArgsortStream:
         # Two-sample KS critical value at alpha=0.001 for n=m=200 is ~0.195;
         # identical distributions should sit far below it.
         assert np.abs(ecdf_legacy - ecdf_argsort).max() < 0.195
+
+    @pytest.mark.parametrize("rng_stream", permutation.RNG_STREAMS)
+    def test_wide_code_fallback_draws_the_budget_stream(self, monkeypatch,
+                                                        rng_stream):
+        """Code spaces past the kernel's dense-cell limit score one
+        permutation at a time with the scalar kernel, drawing from the
+        budget's stream: p-values and run lengths equal the blocked run's."""
+        from repro.infotheory import kernel
+
+        rng = np.random.default_rng(4)
+        n = 300
+        z = rng.integers(0, 4, n)
+        x = (z + rng.integers(0, 3, n)) % 5
+        y = rng.integers(0, 4, n)
+        n_z = code_cardinality(z)
+        budgets = [PermutationBudget(early_exit=early_exit,
+                                     rng_stream=rng_stream)
+                   for early_exit in (False, True)]
+
+        def run(budget):
+            return fast_independence_test(x, y, z, n_z=n_z, threshold=0.0,
+                                          n_permutations=40, seed=3,
+                                          budget=budget)
+
+        blocked = [run(budget) for budget in budgets]
+        monkeypatch.setattr(kernel, "DENSE_CELL_LIMIT", 8)  # < 5 * 4 * 4
+        for budget, expected in zip(budgets, blocked):
+            scalar = run(budget)
+            assert scalar.p_value == expected.p_value
+            assert scalar.n_permutations == expected.n_permutations
 
     def test_fixed_budget_default_keeps_legacy_stream_bit_identical(self):
         """The default budget must not silently change historical

@@ -31,7 +31,6 @@ from repro.distributed.replicas import ReplicaPool
 from repro.engine import ExplanationPipeline, get_explainer
 from repro.exceptions import ConfigurationError
 from repro.infotheory.kernel import (
-    accumulate,
     cmi_counts,
     cmi_from_counts,
     code_cardinality,
@@ -39,12 +38,15 @@ from repro.infotheory.kernel import (
     contingency_cmi,
     contingency_conditional_entropy,
     contingency_entropy,
-    finalize,
     joint_counts,
-    merge_counts,
 )
 from repro.infotheory import kernel
-from repro.infotheory.permutation import PermutationBudget
+from repro.infotheory.permutation import (
+    PermutationBudget,
+    PermutationPlan,
+    block_partial_counts,
+    null_cmis_from_counts,
+)
 from repro.mesa.config import MESAConfig
 from repro.missingness.logistic import fit_logistic_multi, one_hot_encode_codes
 from repro.serving.client import HTTPClient, LocalClient
@@ -94,13 +96,16 @@ class TestPartialCountContract:
     @given(partitioned_codes(n_columns=1))
     @settings(max_examples=80, deadline=None)
     def test_entropy_partition_sum(self, case):
+        """An entropy is the conditional entropy given the empty set."""
         (codes,), ranges, weights = case
-        parts = [accumulate(_slice(codes, a, b), _slice(weights, a, b))
-                 for a, b in ranges]
-        merged = merge_counts(parts)
-        assert finalize(merged) == pytest.approx(
+        n_codes = code_cardinality(codes)
+        merged = sum(joint_counts(codes[a:b], n_target=n_codes,
+                                  weights=_slice(weights, a, b))
+                     for a, b in ranges)
+        assert conditional_entropy_from_counts(merged) == pytest.approx(
             contingency_entropy(codes, weights=weights), abs=TOL)
-        assert finalize(merged, estimator="miller_madow") == pytest.approx(
+        assert conditional_entropy_from_counts(
+            merged, estimator="miller_madow") == pytest.approx(
             contingency_entropy(codes, weights=weights,
                                 estimator="miller_madow"), abs=TOL)
 
@@ -138,10 +143,55 @@ class TestPartialCountContract:
     def test_padding_cells_are_harmless(self, case):
         """Global (unmasked) cardinalities only add zero cells."""
         (codes,), ranges, weights = case
-        padded = [accumulate(_slice(codes, a, b), _slice(weights, a, b),
-                             minlength=32) for a, b in ranges]
-        assert finalize(merge_counts(padded)) == pytest.approx(
+        merged = sum(joint_counts(codes[a:b], n_target=32,
+                                  weights=_slice(weights, a, b))
+                     for a, b in ranges)
+        assert conditional_entropy_from_counts(merged) == pytest.approx(
             contingency_entropy(codes, weights=weights), abs=TOL)
+
+    @given(partitioned_codes(n_columns=3), st.integers(1, 12),
+           st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_local_null_is_the_one_shard_case(self, case, count, seed):
+        """One pre-drawn block of permutations: null CMIs from whole-table
+        counts equal null CMIs from per-slice counts summed over the
+        partition, with bounds merged by max — exactly when unweighted."""
+        (x, y, z), ranges, weights = case
+        n_x, n_y, n_z = (code_cardinality(c) for c in (x, y, z))
+        block = PermutationPlan(z).permute_block(
+            x, np.random.default_rng(seed), count)
+
+        def counted(start, stop):
+            # Singleton strata draw nothing: each pre-drawn row is counted
+            # as it is.
+            identity = PermutationPlan(np.arange(stop - start))
+            parts = [block_partial_counts(
+                identity, row[start:stop], y[start:stop], z[start:stop],
+                n_x, n_y, n_z, _slice(weights, start, stop), None, 1)
+                for row in block]
+            return (np.concatenate([part[0] for part in parts]),
+                    np.concatenate([part[1] for part in parts]))
+
+        whole_counts, whole_tops = counted(0, len(x))
+        merged_counts = np.zeros_like(whole_counts)
+        merged_tops = np.full_like(whole_tops, -1)
+        for a, b in ranges:
+            part_counts, part_tops = counted(a, b)
+            merged_counts += part_counts
+            merged_tops = np.maximum(merged_tops, part_tops)
+        np.testing.assert_array_equal(merged_tops, whole_tops)
+        whole = null_cmis_from_counts(whole_counts, whole_tops, n_x, n_y, n_z)
+        merged = null_cmis_from_counts(merged_counts, merged_tops,
+                                       n_x, n_y, n_z)
+        if weights is None:
+            np.testing.assert_array_equal(merged, whole)
+        else:
+            np.testing.assert_allclose(merged, whole, rtol=0, atol=TOL)
+        # The whole-table finaliser is the scalar kernel, permutation by
+        # permutation.
+        np.testing.assert_array_equal(whole, [
+            contingency_cmi(row, y, z, n_z=n_z, weights=weights)
+            for row in block])
 
 
 class TestRowRanges:
@@ -220,8 +270,8 @@ class TestShardPool:
         assert cmi_from_counts(merged[1].reshape(1, n_y, n_x)) == \
             pytest.approx(contingency_cmi(x, y, weights=shard_data["w:x"]),
                           abs=TOL)
-        assert finalize(merged[2]) == pytest.approx(
-            contingency_entropy(y), abs=TOL)
+        assert conditional_entropy_from_counts(merged[2].reshape(1, n_y)) \
+            == pytest.approx(contingency_entropy(y), abs=TOL)
         assert conditional_entropy_from_counts(
             merged[3].reshape(n_y, n_x)) == pytest.approx(
             contingency_conditional_entropy(x, y, n_given=n_y), abs=TOL)
@@ -262,9 +312,10 @@ class TestShardPool:
                     seed=7, budget=PermutationBudget(),
                     provider=shard_data.__getitem__))
         assert results[0] == results[1]
-        exceed, n_run, verdict, computed = results[0]
-        assert n_run == 40 and computed == 40 and verdict is None
-        assert 0 <= exceed <= 40
+        outcome = results[0]
+        assert outcome.n_run == 40 and outcome.computed == 40
+        assert outcome.verdict is None
+        assert 0 <= outcome.exceed <= 40
 
     @pytest.mark.parametrize("observed", [0.0, 0.005, 0.02, 1.0])
     def test_early_exit_never_flips_full_run_verdict(self, shard_data,
@@ -285,17 +336,13 @@ class TestShardPool:
                     observed=observed, n_permutations=100, alpha=alpha,
                     seed=13, budget=PermutationBudget(early_exit=early_exit),
                     provider=shard_data.__getitem__)
-        full_exceed, full_run, _, _ = results[False]
-        exceed, n_run, verdict, computed = results[True]
-        full_independent = (full_exceed + 1) / (full_run + 1) > alpha
-        early_independent = verdict if verdict is not None else \
-            (exceed + 1) / (n_run + 1) > alpha
-        assert early_independent == full_independent
-        assert computed <= 100
+        full, early = results[False], results[True]
+        assert early.independent(alpha) == full.independent(alpha)
+        assert early.computed <= 100
         # The early run's exceedances are a prefix count of the full run's
         # null sequence: identical when it happens to run to completion.
-        if n_run == full_run:
-            assert exceed == full_exceed
+        if early.n_run == full.n_run:
+            assert early.exceed == full.exceed
 
     def test_worker_restart_heals_and_retries(self, shard_data):
         with ShardPool(n_shards=2) as fresh:
@@ -325,7 +372,7 @@ class TestShardPool:
                                                         monkeypatch):
         """A request that times out leaves its worker owing a reply; the
         next request on that worker must not read it as its own answer."""
-        from repro.distributed import worker as shard_worker
+        from repro.distributed import coordinator, worker as shard_worker
         from repro.distributed.ipc import WorkerDiedError
 
         real_partials = shard_worker.logistic_partials
@@ -340,8 +387,8 @@ class TestShardPool:
         labels = (shard_data["p:y"][:, None] == np.arange(2)).astype(float)
         job = {"kind": "joint", "target": [("col", "p:x")], "given": None,
                "n_target": 3}
-        with ShardPool(n_shards=1, start_method="fork",
-                       request_timeout=1.0) as fresh:
+        monkeypatch.setattr(coordinator, "REQUEST_TIMEOUT", 1.0)
+        with ShardPool(n_shards=1, start_method="fork") as fresh:
             ctx = fresh.context_handle("t", 0, 1, 8, "ctx0", N_ROWS)
             with pytest.raises(WorkerDiedError):
                 fresh.fit_logistic_multi(ctx, ["p:y"], [4], labels,

@@ -106,10 +106,15 @@ class TestBlockedPermutationEngine:
     @given(data=st.data(), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_plan_permute_is_bit_identical_to_legacy_helper(self, data, seed):
+        """Consecutive one-row blocks consume the RNG as the historical
+        helper's consecutive draws do."""
         x, _, z, _ = data.draw(coded_instances())
-        legacy = _permute_within_strata(x, z, make_rng(seed))
-        planned = PermutationPlan(z).permute(x, make_rng(seed))
-        assert (legacy == planned).all()
+        plan = PermutationPlan(z)
+        legacy_rng, planned_rng = make_rng(seed), make_rng(seed)
+        for _ in range(3):
+            legacy = _permute_within_strata(x, z, legacy_rng)
+            (planned,) = plan.permute_block(x, planned_rng, 1)
+            assert (legacy == planned).all()
 
     @given(data=st.data(), seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)

@@ -1,18 +1,22 @@
 """Tests for the observability layer: tracing, metrics, structured logs.
 
 Covers the :mod:`repro.obs` primitives in isolation (bounded tracer,
-cross-thread capture, metrics registry + merge, Prometheus rendering, the
+cross-thread capture, metrics registry, Prometheus rendering, the
 slow-query log), the serving integrations (per-request trace ids, the
 ``/metrics`` and ``/trace/<id>`` endpoints, the opt-in ``debug.trace``
 block), the TTL cache's amortised expiry sweep, and the cross-process
 guarantees: a restarted engine replica must not deflate folded lifetime
 counters, and one HTTP request through a row-sharded service must stitch
-front-end, engine and shard spans into a single trace tree.
+front-end, engine and shard spans into a single trace tree.  The served-path
+benchmark's span launcher must find every layer function it wraps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import importlib.util
+import inspect
 import json
 import logging
 import os
@@ -29,11 +33,7 @@ from repro.distributed import ReplicaPool, ShardPool
 from repro.mesa.config import MESAConfig
 from repro.obs import trace
 from repro.obs.logs import SLOW_QUERY_LOGGER, JsonLogFormatter, log_slow_query
-from repro.obs.metrics import (
-    MetricsRegistry,
-    merge_metric_states,
-    prometheus_text,
-)
+from repro.obs.metrics import MetricsRegistry, prometheus_text
 from repro.obs.trace import Tracer
 from repro.serving import ExplanationService, LocalClient, make_server
 from repro.serving.cache import TTLCache
@@ -231,18 +231,6 @@ class TestMetrics:
             hist.observe(value)
         assert 0.0 < hist.quantile(0.5) <= 1.0
         assert 2.0 < hist.quantile(0.99) <= 4.0
-
-    def test_merge_metric_states_sums_matching_series(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        for registry, n in ((a, 1), (b, 2)):
-            registry.counter("c", {"w": "x"}).inc(n)
-            registry.histogram("h", {}, buckets=(1.0,)).observe(0.5 * n)
-        merged = {(entry["type"], entry["name"]): entry
-                  for entry in merge_metric_states([a.state(), b.state()])}
-        assert merged[("counter", "c")]["value"] == 3
-        assert merged[("histogram", "h")]["count"] == 2
-        assert merged[("histogram", "h")]["sum"] == pytest.approx(1.5)
 
     def test_prometheus_text_is_well_formed(self, covid_bundle):
         service = ExplanationService(coalesce_window_seconds=0.0)
@@ -688,3 +676,31 @@ class TestCrossProcessTrace:
                            and one["tier"] == "worker" for one in spans)
         finally:
             service.close()
+
+
+# --------------------------------------------------------------------------- #
+# the served-path benchmark's span launcher
+# --------------------------------------------------------------------------- #
+class TestPerfbenchLauncher:
+    def test_every_target_resolves(self):
+        """Every ``TARGETS`` entry names a function, or a method defined on
+        its class: the launcher silently skips a method that is not, and
+        crashes the traced launch on a missing class or function."""
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench", "launcher.py")
+        spec = importlib.util.spec_from_file_location("perfbench_launcher",
+                                                      path)
+        launcher = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(launcher)
+        for name, module_name, attribute in launcher.TARGETS:
+            module = importlib.import_module(module_name)
+            if "." not in attribute:
+                assert inspect.isfunction(getattr(module, attribute, None)), \
+                    (name, module_name, attribute)
+                continue
+            class_name, method = attribute.split(".")
+            owner = getattr(module, class_name, None)
+            assert inspect.isclass(owner), (name, module_name, attribute)
+            raw = owner.__dict__.get(method)
+            assert inspect.isfunction(raw) or isinstance(raw, classmethod), \
+                (name, module_name, attribute)
