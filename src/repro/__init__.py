@@ -200,7 +200,12 @@ four engine replicas is just ``python -m repro.serving --dataset SO
 /healthz`` (503 while any worker is down) with strict request validation
 mapped to HTTP 400s and missing-data failures to 422.  See
 ``examples/serve_stackoverflow.py`` for an end-to-end tour, including the
-``--workers`` replica demo with per-replica engine runs.
+``--workers`` replica demo with per-replica engine runs.  Each response
+leaves in one write on a TCP_NODELAY socket, so a cache hit over a
+keep-alive connection costs about 1.6 ms instead of the 44 ms that
+Nagle's algorithm and the client's delayed ACK used to add, and the
+listen backlog of 128 takes a burst of new connections without a 1 s
+SYN retransmit (``repro.serving.http`` gives the measurements).
 
 Memory
 ------

@@ -51,9 +51,14 @@ from repro.engine.config import MESAConfig
 from repro.engine.context import PipelineContext
 from repro.engine.envelope import ExplanationEnvelope
 from repro.engine.pipeline import ExplanationPipeline
-from repro.exceptions import ConfigurationError, DatasetNotRegisteredError
+from repro.exceptions import (
+    ConfigurationError,
+    DatasetNotRegisteredError,
+    RequestValidationError,
+)
 from repro.obs.metrics import process_maxrss_kb
 from repro.shm import FrameStore, shm_available
+from repro.table.column import Column
 from repro.table.expressions import canonical_predicate_key, stable_key_digest
 from repro.table.table import Table
 
@@ -96,11 +101,30 @@ def merge_rows(table: Table, rows: Sequence[Mapping]) -> Table:
 
     The serving front and each copy-path replica build the merged table
     with this one function (same column order, same row order), so their
-    tables — and their envelopes — are identical.
+    tables — and their envelopes — are identical.  Appended columns take
+    the table's dtypes, so a key a row omits is a missing cell.  A column
+    the table lacks, or a value its column's dtype cannot hold, raises
+    :class:`RequestValidationError` naming the column.
     """
-    appended = Table.from_rows(list(rows), columns=list(table.column_names),
-                               name=table.name)
-    return table.concat_rows(appended)
+    errors: List[str] = []
+    unknown = sorted({key for row in rows for key in row}
+                     - set(table.column_names))
+    if unknown:
+        errors.append(f"unknown column(s) {unknown}")
+    columns = []
+    for name, dtype in table.schema.fields:
+        values = [row.get(name) for row in rows]
+        bad = [position for position, value in enumerate(values)
+               if not dtype.holds(value)]
+        if bad:
+            errors.append(
+                f"column {name!r} holds {dtype.value} values, not "
+                f"{values[bad[0]]!r} (rows[{bad[0]}])")
+        else:
+            columns.append(Column(name, values, dtype=dtype))
+    if errors:
+        raise RequestValidationError(errors)
+    return table.concat_rows(Table(columns, name=table.name))
 
 
 def fold_context(into: Dict[str, Any], context: Mapping[str, Any]) -> None:

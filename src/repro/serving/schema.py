@@ -60,6 +60,9 @@ _BATCH_FIELDS = frozenset({"queries", "k"})
 _COMPARISONS = {
     "eq": Eq, "ne": Ne, "gt": Gt, "ge": Ge, "lt": Lt, "le": Le,
 }
+#: What a clause may compare a cell with: a JSON scalar.
+_SCALARS = (str, int, float, bool, type(None))
+_SCALAR_NAMES = "string, number, boolean or null"
 
 
 def _require_mapping(payload: Any, what: str) -> Mapping:
@@ -95,6 +98,10 @@ def _clause_predicate(clause: Any, errors: List[str], position: int) -> Optional
             errors.append(f"{label} with op {op!r} requires a 'value'")
             return None
         value = clause["value"]
+        if not isinstance(value, _SCALARS):
+            errors.append(f"{label} with op {op!r} requires a JSON scalar "
+                          f"'value' ({_SCALAR_NAMES})")
+            return None
         if op != "eq" and op != "ne" and not isinstance(value, (int, float)):
             errors.append(f"{label} with op {op!r} requires a numeric 'value'")
             return None
@@ -103,6 +110,10 @@ def _clause_predicate(clause: Any, errors: List[str], position: int) -> Optional
         values = clause.get("values")
         if not isinstance(values, (list, tuple)) or not values:
             errors.append(f"{label} with op 'in' requires a non-empty 'values' list")
+            return None
+        if not all(isinstance(value, _SCALARS) for value in values):
+            errors.append(f"{label} with op 'in' requires JSON scalars "
+                          f"({_SCALAR_NAMES}) in 'values'")
             return None
         predicate = In(column, values)
     elif op == "between":

@@ -32,6 +32,26 @@ class DType(str, enum.Enum):
         """Whether values of this type can take part in numeric aggregation."""
         return self in (DType.INT, DType.FLOAT)
 
+    def holds(self, value: Any) -> bool:
+        """Whether a column of this type can store ``value``.
+
+        Missing values fit every type.  A float column takes any number
+        and an int column any integral one (``3`` or ``3.0``); booleans are
+        not numbers, and only strings fit a string column.
+        """
+        if _is_missing_value(value):
+            return True
+        if self is DType.STRING:
+            return isinstance(value, str)
+        kind = infer_dtype([value])
+        if not (self.is_numeric and kind.is_numeric):
+            return kind is self
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            return False
+        return self is DType.FLOAT or number.is_integer()
+
 
 _MISSING_SENTINELS = (None,)
 

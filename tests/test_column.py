@@ -27,6 +27,25 @@ class TestInferDtype:
         assert infer_dtype([None, None]) is DType.STRING
 
 
+class TestDtypeHolds:
+    @pytest.mark.parametrize("dtype, value", [
+        (DType.INT, 3), (DType.INT, 3.0), (DType.INT, np.int64(3)),
+        (DType.FLOAT, 3), (DType.FLOAT, 2.5), (DType.STRING, "x"),
+        (DType.BOOL, True), (DType.INT, None), (DType.STRING, float("nan")),
+    ])
+    def test_holds(self, dtype, value):
+        assert dtype.holds(value)
+
+    @pytest.mark.parametrize("dtype, value", [
+        (DType.INT, 3.5), (DType.INT, True), (DType.INT, "3"),
+        (DType.INT, float("inf")), (DType.FLOAT, 10 ** 400),
+        (DType.FLOAT, "lots"), (DType.STRING, 7), (DType.BOOL, 1),
+        (DType.STRING, [1]),
+    ])
+    def test_does_not_hold(self, dtype, value):
+        assert not dtype.holds(value)
+
+
 class TestColumnBasics:
     def test_length_and_values(self):
         column = Column("x", [1, 2, None, 4])
