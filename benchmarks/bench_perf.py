@@ -32,10 +32,10 @@ Three scenarios, all through ``explain_many`` in one process:
   against the fixed run is recorded informationally.
 
 The work counters of the IPW+permutation and adaptive runs (fit-cache
-hits and misses, early exits, saved and extended permutations,
-speculation hits and discards) are deterministic for the fixed seeds, so
-they must equal the ones recorded in ``BENCH_perf.baseline.json`` next to
-this script exactly.
+hits and misses, estimate-memo hits and misses, early exits, saved and
+extended permutations, speculation hits and discards) are deterministic
+for the fixed seeds, so they must equal the ones recorded in
+``BENCH_perf.baseline.json`` next to this script exactly.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_perf.py [--out BENCH_perf.json]
 
@@ -160,7 +160,8 @@ def time_ipw_perm(bundle, queries, repeats: int = 2, **overrides) -> dict:
             "search_s": round(sum(result.timings.get("mcimr", 0.0)
                                   for result in results), 6),
             "counters": {name: counters[name] for name in sorted(counters)
-                         if name.startswith(("ipw_fit", "perm", "speculation"))},
+                         if name.startswith(("ipw_fit", "estimate_memo",
+                                             "perm", "speculation"))},
             "results": [{"query": result.query.label(),
                          "attributes": list(result.attributes),
                          "explainability": result.explainability}

@@ -108,7 +108,9 @@ these paths' timings and gates their work counters.  The knobs on
 
 Repeated-context queries additionally hit the context-level encoded-frame
 cache (``PipelineContext.context_frame``): two queries sharing a WHERE
-clause filter the table and factorise each column only once.
+clause filter the table and factorise each column only once, and share
+the frame's estimate memo, so the exposure-free independence tests and
+entropies of online pruning run once per context.
 
 Serving
 -------

@@ -9,7 +9,10 @@ algorithms need:
 * per-attribute inverse-probability weights for selection-biased attributes;
 * a memoised conditional-mutual-information oracle, since both MCIMR and the
   brute-force baseline evaluate many overlapping CMI terms over the same
-  table.
+  table;
+* optionally, a memo of unweighted independence tests and entropies shared
+  by every problem over the same encoded frame (the engine keeps one per
+  context frame), since those estimates do not depend on the exposure.
 """
 
 from __future__ import annotations
@@ -102,6 +105,15 @@ class CorrelationExplanationProblem:
         Optional ``(name, seconds)`` callable observing backend phase
         timings (``permutation_test``); the engine passes
         ``PipelineContext.add_seconds``.
+    estimate_memo:
+        Optional memo shared by the problems over ``frame`` (anything
+        with ``get(key)`` / ``put(key, value)``; the engine passes the
+        context frame's :class:`~repro.engine.context.EstimateMemo`).
+        :meth:`independence_test` and :meth:`conditional_entropy_of`
+        answer from it under keys holding the estimate's whole identity;
+        unseeded tests and tests touching an IPW-weighted attribute bypass
+        it.  Hits and misses go to ``counter_hook`` as
+        ``estimate_memo_hits`` / ``estimate_memo_misses``.
     """
 
     def __init__(self, table: Table, query: AggregateQuery, candidates: Sequence[str],
@@ -111,7 +123,7 @@ class CorrelationExplanationProblem:
                  context_table: Optional[Table] = None,
                  counts=None,
                  permutation_budget: Optional[PermutationBudget] = None,
-                 counter_hook=None, seconds_hook=None):
+                 counter_hook=None, seconds_hook=None, estimate_memo=None):
         query.validate_against(table)
         if context_table is not None and frame is None:
             raise ExplanationError(
@@ -159,9 +171,14 @@ class CorrelationExplanationProblem:
             if permutation_budget is not None else PermutationBudget()
         self.counter_hook = counter_hook
         self.seconds_hook = seconds_hook
+        self.estimate_memo = estimate_memo
+        # Sharded tests draw per-shard RNG streams, so a memoised value
+        # belongs to the counts source (and shard count) that made it.
+        pool = getattr(self.counts, "pool", None)
+        self._memo_source = "local" if pool is None \
+            else f"shards:{pool.n_shards}"
         self._cmi_cache: Dict[Tuple[str, ...], float] = {}
         self._mi_cache: Dict[Tuple[str, str], float] = {}
-        self._entropy_cache: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -263,20 +280,36 @@ class CorrelationExplanationProblem:
         return self.cmi([attribute])
 
     def entropy_of(self, attribute: str) -> float:
-        """Entropy of an attribute within the context (memoised).
+        """Entropy of an attribute within the context.
 
-        Pruning evaluates ``H(T)``/``H(O)`` once per candidate; the memo
-        makes those repeat lookups free.
+        Pruning evaluates ``H(T)``/``H(O)`` once per candidate; the
+        estimate memo makes those repeat lookups free.
         """
-        value = self._entropy_cache.get(attribute)
-        if value is None:
-            value = self.counts.conditional_entropy(attribute, ())
-            self._entropy_cache[attribute] = value
-        return value
+        return self.conditional_entropy_of(attribute, ())
 
     def conditional_entropy_of(self, target: str, given: Sequence[str]) -> float:
-        """``H(target | given)`` within the context."""
-        return self.counts.conditional_entropy(target, tuple(sorted(given)))
+        """``H(target | given)`` within the context (unweighted, memoised)."""
+        given = tuple(sorted(given))
+        return self._memoised(
+            ("entropy", self._memo_source, target, given),
+            lambda: self.counts.conditional_entropy(target, given))
+
+    def _memoised(self, key: Optional[tuple], compute):
+        """``compute()``, answered from the estimate memo when it can be.
+
+        ``key`` is ``None`` for an estimate the memo must not hold.
+        """
+        memo = self.estimate_memo
+        if memo is None or key is None:
+            return compute()
+        value = memo.get(key)
+        if self.counter_hook is not None:
+            self.counter_hook("estimate_memo_misses" if value is None
+                              else "estimate_memo_hits", 1)
+        if value is None:
+            value = compute()
+            memo.put(key, value)
+        return value
 
     # ------------------------------------------------------------------ #
     # independence testing
@@ -295,13 +328,37 @@ class CorrelationExplanationProblem:
         :func:`repro.infotheory.independence.decide` under
         ``permutation_budget``.  Elapsed wall-clock is reported to
         ``seconds_hook`` under ``permutation_test``.
+
+        A seeded test over unweighted attributes is answered from the
+        estimate memo when an earlier problem over the frame ran it; a hit
+        opens no span and reports no ``perm_*`` counter or seconds.  The
+        key holds everything the result depends on: the counts source,
+        ``a``, ``b``, the conditioning set in caller order (it fixes the
+        stratum order), the thresholds, the permutations, ``alpha``,
+        ``seed`` and the budget.
         """
+        conditioning = tuple(conditioning)
+        key = None
+        if seed is not None and not any(
+                name in self.attribute_weights
+                for name in (a, b, *conditioning)):
+            key = ("test", self._memo_source, a, b, conditioning, threshold,
+                   dependent_threshold, n_permutations, alpha, seed,
+                   self.permutation_budget)
+        return self._memoised(key, lambda: self._run_test(
+            a, b, conditioning, threshold, n_permutations, alpha,
+            dependent_threshold, seed))
+
+    def _run_test(self, a: str, b: str, conditioning: Tuple[str, ...],
+                  threshold: float, n_permutations: int, alpha: float,
+                  dependent_threshold: Optional[float],
+                  seed: Optional[int]) -> IndependenceResult:
         start = time.perf_counter() if self.seconds_hook is not None else 0.0
         try:
             with trace.span("permutation_test", a=a, b=b,
                             conditioning=len(conditioning)):
                 observed, permute = self.counts.test(
-                    a, b, tuple(conditioning), n_permutations, alpha, seed)
+                    a, b, conditioning, n_permutations, alpha, seed)
                 return decide(
                     observed, permute, threshold=threshold,
                     dependent_threshold=dependent_threshold,
@@ -322,7 +379,8 @@ class CorrelationExplanationProblem:
         Used by the unexplained-subgroup search, which evaluates the same
         explanation on refinements of the context.  Attribute weights are
         sliced along with the rows.  The restriction always counts locally:
-        a shard pool holds the context's rows, not arbitrary subsets.
+        a shard pool holds the context's rows, not arbitrary subsets.  It
+        counts over another frame, so it never reads the estimate memo.
         """
         mask = np.asarray(mask, dtype=bool)
         restricted = copy.copy(self)
@@ -335,17 +393,17 @@ class CorrelationExplanationProblem:
         }
         restricted.counts = LocalCounts(restricted.frame,
                                         restricted.attribute_weights)
+        restricted.estimate_memo = None
         restricted._cmi_cache = {}
         restricted._mi_cache = {}
-        restricted._entropy_cache = {}
         return restricted
 
     def subset_candidates(self, candidates: Iterable[str]) -> "CorrelationExplanationProblem":
         """A shallow copy of the problem with a reduced candidate list.
 
-        The memo caches and the counts source are shared (entries are keyed
-        by attribute names, so they stay valid), which lets pruning produce
-        a cheaper problem without recomputation.
+        The memo caches, the estimate memo and the counts source are
+        shared (entries are keyed by attribute names, so they stay valid),
+        which lets pruning produce a cheaper problem without recomputation.
         """
         clone = copy.copy(self)
         clone.candidates = list(candidates)

@@ -523,7 +523,7 @@ class ReplicaPool:
                          canonical_predicate_key(query.context))
             manifest = self._frame_manifests.get((dataset, frame_key))
             if manifest is None:
-                context_table, frame = self._ref_context(spec).context_frame(
+                context_table, frame, _ = self._ref_context(spec).context_frame(
                     query.context, hops=config.hops, n_bins=config.n_bins)
                 # Encode every column the engine can ask for up front, so
                 # replicas never fall back to a local factorise for one the

@@ -14,6 +14,10 @@ pre-processing phase, generalised:
   ``(hops, n_bins, canonical context predicate)``, so two queries sharing a
   WHERE clause factorise each column once — the common serving shape
   (repeated-context batches) skips re-encoding entirely;
+* the **estimate memo** — one :class:`EstimateMemo` per encoded frame, so
+  exposure-free estimates (online pruning's ``O ⊥ E | C`` tests and
+  entropies ``H(O|E)``, ``H(E|O)``, MCIMR's responsibility tests) run once
+  per context, not once per exposure;
 * **counters** — how often each expensive phase actually ran (cache misses),
   which the batch API's tests and the benchmarks assert against;
 * **stage instrumentation** — cumulative per-stage wall-clock seconds and
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.pruning import PruningResult, offline_prune
 from repro.exceptions import ConfigurationError, QueryError
@@ -44,6 +48,58 @@ from repro.table.table import Table
 #: Cached offline-pruning verdict for a column the augmented table does
 #: not have: excluded from both ``kept`` and ``dropped``, never re-probed.
 _ABSENT_COLUMN = "__absent_column__"
+
+#: Bound on one frame's estimate memo (LRU).  Each entry is a float or an
+#: ``IndependenceResult`` under a short key tuple.  perfbench's cold
+#: universe (72 SO queries over four contexts) stores about 1,600 entries
+#: per frame, so it never evicts there.
+MAX_ESTIMATE_MEMO = 4096
+
+
+class EstimateMemo:
+    """The exposure-free estimates of one encoded context frame (LRU).
+
+    Every :class:`~repro.core.problem.CorrelationExplanationProblem` over
+    the frame reads and fills it inside ``independence_test`` and
+    ``conditional_entropy_of``, under keys that carry an estimate's whole
+    identity, so each value is a pure function of its key and the frame.
+    Forked contexts share it by reference, hence the lock.
+    """
+
+    def __init__(self):
+        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: tuple):
+        """The memoised value, or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: tuple, value) -> None:
+        """Store a value, evicting the least recently used past the bound."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > MAX_ESTIMATE_MEMO:
+                self._entries.popitem(last=False)
+
+
+class ContextFrame(NamedTuple):
+    """One encoded-frame cache entry."""
+
+    #: The context-restricted augmented table (a lazy filtered view).
+    table: Table
+    #: Its lazily encoded columns.
+    frame: EncodedFrame
+    #: The frame's exposure-free estimates, evicted with it.
+    memo: EstimateMemo
 
 
 class StageHook:
@@ -124,7 +180,7 @@ class PipelineContext:
         #: amortisation (each column judged at most once) is preserved.
         self._offline: Dict[Tuple[int, float, float],
                             Dict[str, Optional[str]]] = {}
-        self._frames: "OrderedDict[Tuple[int, int, str, int], Tuple[Table, EncodedFrame]]" = \
+        self._frames: "OrderedDict[Tuple[int, int, str, int], ContextFrame]" = \
             OrderedDict()
         #: Pre-encoded frames published by a frame-store owner, keyed by
         #: ``(hops, n_bins, canonical context predicate)`` — *without* the
@@ -189,10 +245,12 @@ class PipelineContext:
 
         The expensive cross-query artefacts are shared by reference —
         the augmented table and the offline-pruning verdicts are immutable
-        once built, and the encoded frames only *accumulate* deterministic
+        once built, the encoded frames only *accumulate* deterministic
         per-column encodings (safe to race: the worst case is a redundant
-        encode, never a wrong value) — while counters, timings and hooks
-        start empty so concurrent workers never write to shared state.
+        encode, never a wrong value), and each frame's locked
+        :class:`EstimateMemo` only accumulates pure estimates — while
+        counters, timings and hooks start empty so concurrent workers
+        never write to shared state.
         """
         forked = PipelineContext(self.table, self.knowledge_graph,
                                  self.extraction_specs)
@@ -347,15 +405,17 @@ class PipelineContext:
     # encoded-frame cache (across queries)
     # ------------------------------------------------------------------ #
     def context_frame(self, context: Predicate, *, hops: int = 1,
-                      n_bins: int = 8) -> Tuple[Table, EncodedFrame]:
-        """The context-restricted augmented table and its encoded frame.
+                      n_bins: int = 8) -> ContextFrame:
+        """The context-restricted augmented table, its frame and memo.
 
-        Keyed by ``(hops, n_bins, canonical context predicate)`` and bounded
-        (LRU), so any number of queries sharing a WHERE clause filter the
-        table once and factorise each column at most once — the repeated
-        context batch, the common serving shape, pays the encoding cost only
-        on its first query.  Frames encode lazily, so a cache hit also
-        inherits every column the earlier queries already touched.
+        Keyed by ``(hops, n_bins, canonical context predicate, dataset
+        version)`` and bounded (LRU), so any number of queries sharing a
+        WHERE clause filter the table once and factorise each column at
+        most once — the repeated context batch, the common serving shape,
+        pays the encoding cost only on its first query.  Frames encode
+        lazily, so a cache hit also inherits every column the earlier
+        queries already touched, and every estimate in the entry's
+        :class:`EstimateMemo`.
         """
         context_key = canonical_predicate_key(context)
         key = (hops, n_bins, context_key, self.dataset_version)
@@ -386,7 +446,7 @@ class PipelineContext:
         self._shared_frames[tuple(manifest.key)] = manifest
 
     def _adopt_frame(self, key, manifest, context: Predicate,
-                     hops: int) -> Optional[Tuple[Table, EncodedFrame]]:
+                     hops: int) -> Optional[ContextFrame]:
         """Materialise a published frame as views (None on any mismatch).
 
         Filtering the context table locally is cheap and deterministic;
@@ -408,14 +468,10 @@ class PipelineContext:
             return None
         self.count("frame_store_attach")
         trace.annotate(frame_cache="shm-attach")
-        entry = (context_table, frame)
-        self._frames[key] = entry
-        while len(self._frames) > self.MAX_FRAME_CACHE:
-            self._frames.popitem(last=False)
-        return entry
+        return self._store_frame(key, context_table, frame)
 
     def _build_frame(self, key, context: Predicate, hops: int,
-                     n_bins: int) -> Tuple[Table, EncodedFrame]:
+                     n_bins: int) -> ContextFrame:
         augmented = self.augmented_table(hops)
         missing = [name for name in sorted(context.columns())
                    if name not in augmented]
@@ -428,7 +484,13 @@ class PipelineContext:
         # table would copy (and, over a shared-memory table, privately
         # touch) every column per context for nothing.
         context_table = augmented.filter_view(context)
-        entry = (context_table, EncodedFrame(context_table, n_bins=n_bins))
+        return self._store_frame(key, context_table,
+                                 EncodedFrame(context_table, n_bins=n_bins))
+
+    def _store_frame(self, key, context_table: Table,
+                     frame: EncodedFrame) -> ContextFrame:
+        """Cache a new frame with an empty memo (LRU-bounded)."""
+        entry = ContextFrame(context_table, frame, EstimateMemo())
         self._frames[key] = entry
         while len(self._frames) > self.MAX_FRAME_CACHE:
             self._frames.popitem(last=False)

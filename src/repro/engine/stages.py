@@ -131,8 +131,8 @@ class OfflinePruningStage(PipelineStage):
 
 
 def _build_problem(state: QueryState, context: PipelineContext,
-                   frame, context_table, attribute_weights=None,
-                   ) -> CorrelationExplanationProblem:
+                   frame, context_table, estimate_memo,
+                   attribute_weights=None) -> CorrelationExplanationProblem:
     """Build the problem instance over the right counts source.
 
     With ``context.shard_pool`` set (row-sharded serving) the problem counts
@@ -141,6 +141,9 @@ def _build_problem(state: QueryState, context: PipelineContext,
     frame.  Every permutation test runs under one
     :class:`~repro.infotheory.permutation.PermutationBudget` built from
     the config (adaptive budgets imply the sequential early exit).
+    ``estimate_memo`` is the context frame's
+    :class:`~repro.engine.context.EstimateMemo`, shared by every query
+    over that frame.
     """
     config = state.config
     counts = None
@@ -162,7 +165,8 @@ def _build_problem(state: QueryState, context: PipelineContext,
         attribute_weights=attribute_weights, n_bins=config.n_bins,
         frame=frame, context_table=context_table, counts=counts,
         permutation_budget=budget,
-        counter_hook=context.count, seconds_hook=context.add_seconds)
+        counter_hook=context.count, seconds_hook=context.add_seconds,
+        estimate_memo=estimate_memo)
 
 
 class OnlinePruningStage(PipelineStage):
@@ -173,13 +177,15 @@ class OnlinePruningStage(PipelineStage):
     def run(self, state: QueryState, context: PipelineContext) -> None:
         config = state.config
         with state.timer.measure("problem"):
-            # The context-restricted table and its encoded columns are
-            # cached per (hops, n_bins, canonical context) on the pipeline
-            # context, so repeated-context queries skip the row filter and
-            # every re-factorisation.
-            context_table, frame = context.context_frame(
+            # The context-restricted table, its encoded columns and its
+            # estimate memo are cached per (hops, n_bins, canonical
+            # context) on the pipeline context, so repeated-context
+            # queries skip the row filter, every re-factorisation and
+            # every exposure-free test and entropy already estimated.
+            entry = context.context_frame(
                 state.query.context, hops=config.hops, n_bins=config.n_bins)
-            state.problem = _build_problem(state, context, frame, context_table)
+            state.problem = _build_problem(state, context, entry.frame,
+                                           entry.table, entry.memo)
         with state.timer.measure("online_pruning"):
             if config.use_online_pruning:
                 online = online_prune(
@@ -207,11 +213,12 @@ class SelectionBiasStage(PipelineStage):
                 state.ipw_weights = weights
                 if weights:
                     # The weighted rebuild covers the same context rows;
-                    # adopting the frame and table keeps every column
+                    # adopting the frame, table and memo keeps every column
                     # factorised (and the context filtered) at most once.
                     state.problem = _build_problem(
                         state, context,
                         state.problem.frame, state.problem.context_table,
+                        state.problem.estimate_memo,
                         attribute_weights={name: w.weights
                                            for name, w in weights.items()})
             # Narrow the problem to the surviving candidates; the CMI caches

@@ -241,8 +241,13 @@ class Column:
         return sorted(set(present), key=lambda v: (str(type(v)), v))
 
     def n_unique(self) -> int:
-        """Number of distinct present values."""
-        return len(set(self.non_missing_values()))
+        """Number of distinct present values.
+
+        Counted over the storage array, with no per-cell call: an int
+        column's float64 cells are integral, so they count as their ints
+        do, and ``0.0`` equals ``-0.0`` here as it does there.
+        """
+        return len(set(self._values[~self._missing].tolist()))
 
     def value_counts(self) -> dict:
         """Mapping from present value to its number of occurrences."""

@@ -17,6 +17,8 @@ from typing import Any, FrozenSet, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import QueryError
+
 
 class Predicate(ABC):
     """Base class for all row predicates."""
@@ -69,6 +71,20 @@ def _resolve_true() -> "_AlwaysTrue":
 
 def _column_values(table, column: str):
     return table.column(column)
+
+
+def _ordered_values(table, column: str):
+    """The column and its float values, for an ordered comparison.
+
+    Ordering needs numbers, so a string or bool column is a malformed
+    query (:class:`QueryError`), not a schema fault of the table.
+    """
+    col = _column_values(table, column)
+    if not col.is_numeric():
+        raise QueryError(
+            f"Ordered comparison on column {column!r} of type "
+            f"{col.dtype.value}: it needs an int or float column")
+    return col, col.numeric_array()
 
 
 @dataclass(frozen=True)
@@ -146,8 +162,7 @@ class _NumericComparison(Predicate):
         raise NotImplementedError
 
     def mask(self, table) -> np.ndarray:
-        col = _column_values(table, self.column)
-        values = col.numeric_array()
+        col, values = _ordered_values(table, self.column)
         with np.errstate(invalid="ignore"):
             result = self._compare(values)
         result[col.missing_mask] = False
@@ -212,8 +227,7 @@ class Between(Predicate):
     high: float
 
     def mask(self, table) -> np.ndarray:
-        col = _column_values(table, self.column)
-        values = col.numeric_array()
+        col, values = _ordered_values(table, self.column)
         with np.errstate(invalid="ignore"):
             result = (values >= self.low) & (values <= self.high)
         result[col.missing_mask] = False

@@ -6,9 +6,9 @@
 * A burst of new connections fits the listen backlog: no client waits for
   a SYN retransmit.
 * Malformed explain bodies (non-scalar clause values, pathological
-  nesting) and ``append_rows`` batches with unknown columns or values
-  their column cannot hold answer 400, never 500; a rejected append
-  leaves the dataset version alone.
+  nesting, an ordered comparison on a string column) and ``append_rows``
+  batches with unknown columns or values their column cannot hold answer
+  400, never 500; a rejected append leaves the dataset version alone.
 """
 
 from __future__ import annotations
@@ -218,6 +218,31 @@ class TestMalformedBodies:
                                     "/explain", json.dumps(body).encode())
         assert status == 400
         assert fragment in payload["errors"][0]
+
+    @pytest.mark.parametrize("clause", [
+        {"op": "gt", "value": 5},
+        {"op": "between", "low": 1, "high": 2},
+    ])
+    def test_ordered_comparison_on_a_string_column_gets_400(
+            self, covid_server, covid_bundle, clause):
+        body = {"dataset": covid_bundle.name, "exposure": "Country",
+                "outcome": "Deaths_per_100_cases",
+                "context": [dict(clause, column="WHO_Region")]}
+        status, payload = _exchange(covid_server.server_address[1], "POST",
+                                    "/explain", json.dumps(body).encode())
+        assert status == 400
+        assert "'WHO_Region'" in payload["errors"][0]
+        assert "string" in payload["errors"][0]
+
+    def test_ordered_comparison_on_a_numeric_column_answers(
+            self, covid_server, covid_bundle):
+        body = {"dataset": covid_bundle.name, "exposure": "Country",
+                "outcome": "Deaths_per_100_cases",
+                "context": [{"column": "Month", "op": "gt", "value": 3}]}
+        status, payload = _exchange(covid_server.server_address[1], "POST",
+                                    "/explain", json.dumps(body).encode())
+        assert status == 200
+        assert payload["envelope"]["explanation"]["attributes"]
 
     def test_deeply_nested_body_gets_400(self, covid_server):
         status, payload = _exchange(covid_server.server_address[1], "POST",
