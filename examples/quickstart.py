@@ -66,16 +66,6 @@ def main() -> None:
     print(f"Envelope: {len(envelope.to_json())} bytes of JSON, "
           f"attributes={list(envelope.explanation.attributes)}")
 
-    #    Large batches can opt into worker fan-out: n_jobs=2 runs thread
-    #    workers over forked contexts (same results, counters merged back);
-    #    explain_many_envelopes(..., n_jobs=2) returns the same batch as
-    #    JSON envelopes — the serving-tier shape.  Process-level fan-out is
-    #    the serving tier's engine replicas (step 8).
-    parallel = pipeline.explain_many([q.query for q in bundle.queries],
-                                     k=3, n_jobs=2)
-    print(f"Parallel batch: {len(parallel)} queries over "
-          f"{pipeline.context.counters['parallel_workers']} workers")
-
     # 6. The batched inference backend: permutation tests run blocked (one
     #    shared bincount per block, bit-identical p-values) and IPW selection
     #    fits are cached by missingness mask + design and solved multi-label.

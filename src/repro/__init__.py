@@ -25,7 +25,8 @@ Quickstart
 ('HDI', 'Confirmed_cases', ...)
 
 Batches reuse the cross-query caches (extraction and offline pruning run
-once for the whole batch), and results serialize for process boundaries:
+once for the whole batch, in ``pipeline.warm()``, timed as
+``stage_seconds['warm']``), and results serialize for process boundaries:
 
 >>> results = pipeline.explain_many([q.query for q in bundle.queries])  # doctest: +SKIP
 >>> payload = results[0].to_envelope().to_json()                        # doctest: +SKIP
@@ -60,7 +61,7 @@ reuse, and ``context.stage_seconds['ipw_fit']`` /
 ``['permutation_test']`` carry the phase timings, surfaced by a serving
 deployment via ``GET /stats``).  ``benchmarks/bench_perf.py`` records
 these paths' timings and gates their work counters.  The knobs on
-:class:`MESAConfig` controlling the permutation tests and batching:
+:class:`MESAConfig` controlling the permutation tests and the search:
 
 * ``permutation_early_exit`` (default ``False``) — let the sequential
   test stop a permutation run as soon as the verdict is determined (a
@@ -95,16 +96,6 @@ these paths' timings and gates their work counters.  The knobs on
   disjoint memo caches, so explanations stay bit-identical to the
   sequential schedule.  ``context.counters['speculation_hit']`` /
   ``['speculation_waste']`` count consumed and discarded speculations.
-* ``n_jobs`` — opt-in thread fan-out for the batch APIs.
-  ``pipeline.explain_many(queries, n_jobs=4)`` runs thread workers over
-  forked contexts and returns full results;
-  ``pipeline.explain_many_envelopes(queries, n_jobs=4)`` wraps the same
-  results as JSON-serializable envelopes (the form a serving tier or
-  result cache should consume).  Worker cache counters merge back into
-  ``pipeline.context.counters``.  Process-level fan-out is the serving
-  tier's (engine replicas, ``ReplicaPool`` below).  Every batch first
-  runs ``pipeline.warm()`` — extraction and offline pruning, timed as
-  ``stage_seconds['warm']``.
 
 Repeated-context queries additionally hit the context-level encoded-frame
 cache (``PipelineContext.context_frame``): two queries sharing a WHERE

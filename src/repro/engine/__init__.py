@@ -22,7 +22,6 @@ engine.
 
 from repro.engine.context import PipelineContext, StageHook
 from repro.engine.envelope import ExplanationEnvelope, query_descriptor
-from repro.engine.parallel import resolve_n_jobs
 from repro.engine.pipeline import ExplanationPipeline
 from repro.engine.registry import (
     BaselineExplainer,
@@ -53,7 +52,6 @@ __all__ = [
     "ExplanationEnvelope",
     "query_descriptor",
     "ExplanationPipeline",
-    "resolve_n_jobs",
     "Explainer",
     "MCIMRExplainer",
     "MesaMinusExplainer",

@@ -8,7 +8,7 @@ it for backward compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -103,9 +103,9 @@ class MESAConfig:
         ``['speculation_waste']`` count consumed and discarded
         speculations.
     n_jobs:
-        Thread-worker count for the batch APIs (``explain_many`` /
-        ``explain_many_envelopes``); ``1`` (default) runs serially, ``-1``
-        uses every available CPU.
+        Init-only, not a field, and only ``1`` is accepted: a batch runs
+        serially (process fan-out is the serving tier's ``ReplicaPool``).
+        Kept so that callers passing ``n_jobs=1`` keep working.
     """
 
     k: int = 5
@@ -129,9 +129,12 @@ class MESAConfig:
     max_responsibility_permutations: int = 0
     permutation_rng_stream: str = "legacy"
     speculative_search: bool = False
-    n_jobs: int = 1
+    n_jobs: InitVar[int] = 1
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, n_jobs: int) -> None:
+        if n_jobs != 1:
+            raise ConfigurationError(
+                f"n_jobs must be 1 (batches run serially), got {n_jobs}")
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         if self.hops < 1:
@@ -169,10 +172,6 @@ class MESAConfig:
             raise ConfigurationError(
                 f"permutation_rng_stream must be 'legacy' or 'argsort', "
                 f"got {self.permutation_rng_stream!r}"
-            )
-        if self.n_jobs < 1 and self.n_jobs != -1:
-            raise ConfigurationError(
-                f"n_jobs must be >= 1 (or -1 for all CPUs), got {self.n_jobs}"
             )
 
     def without_pruning(self) -> "MESAConfig":

@@ -63,7 +63,10 @@ class EstimateMemo:
     the frame reads and fills it inside ``independence_test`` and
     ``conditional_entropy_of``, under keys that carry an estimate's whole
     identity, so each value is a pure function of its key and the frame.
-    Forked contexts share it by reference, hence the lock.
+    Any thread driving a pipeline over the context reaches it — a
+    service's batcher thread, and a caller running that pipeline or one of
+    its configuration variants (MESA- shares the frame) on its own thread
+    at the same time — hence the lock.
     """
 
     def __init__(self):
@@ -167,8 +170,9 @@ class PipelineContext:
         self.shard_pool = None
         self.shard_label: Optional[str] = None
         # Counters are written from serving threads (cache verdicts) and
-        # batch workers concurrently; the read-modify-write increments and
-        # the observability snapshots need a lock to stay exact.
+        # the engine's batcher thread concurrently; the read-modify-write
+        # increments and the observability snapshots need a lock to stay
+        # exact.
         self._counter_lock = threading.Lock()
         self.hooks: List[StageHook] = []
         self._extraction: Dict[int, Tuple[Table, Tuple[ExtractionResult, ...]]] = {}
@@ -215,57 +219,14 @@ class PipelineContext:
         with self._counter_lock:
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
 
-    def merge_counters(self, counters: Dict[str, int],
-                       stage_seconds: Optional[Dict[str, float]] = None) -> None:
-        """Fold a worker context's counters (and timings) into this one.
-
-        The parallel batch executor gives every worker a private forked
-        context; after the batch the per-worker cache counters are merged
-        back here so ``context.counters`` stays the single source of truth
-        for batch observability.
-        """
-        with self._counter_lock:
-            for name, increment in counters.items():
-                self.counters[name] = self.counters.get(name, 0) + increment
-            if stage_seconds:
-                for name, seconds in stage_seconds.items():
-                    self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
-
     def observability_snapshot(self) -> Tuple[Dict[str, int], Dict[str, float]]:
         """A consistent ``(counters, stage_seconds)`` copy.
 
         Observability readers (``GET /stats``) must not iterate the live
-        dicts while a worker inserts a first-time key.
+        dicts while the engine inserts a first-time key.
         """
         with self._counter_lock:
             return dict(self.counters), dict(self.stage_seconds)
-
-    def fork(self) -> "PipelineContext":
-        """A worker context: same dataset, warmed caches, private counters.
-
-        The expensive cross-query artefacts are shared by reference —
-        the augmented table and the offline-pruning verdicts are immutable
-        once built, the encoded frames only *accumulate* deterministic
-        per-column encodings (safe to race: the worst case is a redundant
-        encode, never a wrong value), and each frame's locked
-        :class:`EstimateMemo` only accumulates pure estimates — while
-        counters, timings and hooks start empty so concurrent workers
-        never write to shared state.
-        """
-        forked = PipelineContext(self.table, self.knowledge_graph,
-                                 self.extraction_specs)
-        forked.dataset_version = self.dataset_version
-        forked.shard_pool = self.shard_pool
-        forked.shard_label = self.shard_label
-        forked._extraction = dict(self._extraction)
-        # Verdict maps accumulate lazily now — give the fork its own dicts
-        # so neither side observes the other's later additions mid-iteration.
-        forked._offline = {key: dict(verdicts)
-                           for key, verdicts in self._offline.items()}
-        forked._frames = OrderedDict(self._frames)
-        forked._shared_frames = dict(self._shared_frames)
-        forked.ipw_fit_cache = self.ipw_fit_cache.copy()
-        return forked
 
     def bump_dataset_version(self) -> int:
         """Advance the dataset version, invalidating version-keyed caches.

@@ -93,6 +93,7 @@ class ExplanationPipeline:
                 f"max_prepared_states must be >= 1, got {max_prepared_states}")
         self.max_prepared_states = max_prepared_states
         self._prepared: "OrderedDict[object, QueryState]" = OrderedDict()
+        self._prepared_version = context.dataset_version
         self._variants: Dict[MESAConfig, "ExplanationPipeline"] = {}
 
     # ------------------------------------------------------------------ #
@@ -128,9 +129,9 @@ class ExplanationPipeline:
         """Build the cross-query artefacts: the augmented table, then the
         offline-pruning verdicts of every candidate-eligible column.
 
-        Idempotent (both are context caches).  Batches, the thread fan-out,
-        the serving tier and engine replicas all pre-warm through this one
-        call, which times itself as ``stage_seconds["warm"]`` under a
+        Idempotent (both are context caches).  Batches, the serving tier
+        and engine replicas all pre-warm through this one call, which
+        times itself as ``stage_seconds["warm"]`` under a
         ``stage.warm`` span, so pre-warm time is attributed like any stage.
         """
         config = self.config
@@ -156,7 +157,13 @@ class ExplanationPipeline:
 
         The returned state carries the prepared problem instance (pruned
         candidates, IPW weights applied) that any explainer can search.
+        The memo holds states of the context's current dataset version
+        only: a bump (``clear_cache()``, re-registration) empties it, so
+        the next query re-runs its stages over fresh frames.
         """
+        if self._prepared_version != self.context.dataset_version:
+            self._prepared.clear()
+            self._prepared_version = self.context.dataset_version
         key = self._query_key(query)
         state = self._prepared.get(key)
         if state is None:
@@ -210,21 +217,14 @@ class ExplanationPipeline:
 
     def explain_many(self, queries: Iterable[AggregateQuery],
                      k: Optional[int] = None,
-                     n_jobs: Optional[int] = None,
                      trace_captures: Optional[Sequence] = None,
                      ) -> List[ExplanationResult]:
         """Explain a batch of queries, amortising the cross-query work.
 
         Extraction and offline pruning run at most once for the whole batch
         (assertable via ``context.counters``); per-query stages still run
-        per query.
-
-        ``n_jobs`` (defaulting to ``config.n_jobs``; ``-1`` = all CPUs)
-        opts into parallel execution: queries fan out over thread workers,
-        each driving a private pipeline over a forked context, and the
-        workers' cache counters merge back into this pipeline's context.
-        Results come back in query order.  Process-level fan-out is the
-        serving tier's job (an ``ExplanationService`` over a
+        per query, in query order.  Process-level fan-out is the serving
+        tier's job (an ``ExplanationService`` over a
         :class:`~repro.distributed.replicas.ReplicaPool`).
 
         ``trace_captures`` (one :func:`repro.obs.trace.capture` per query,
@@ -232,28 +232,21 @@ class ExplanationPipeline:
         its engine run, so a batch coalesced from several traced requests
         attributes stage/test spans to the right request.
         """
-        from repro.engine.parallel import explain_many_threaded, resolve_n_jobs
-
         queries = list(queries)
-        jobs = resolve_n_jobs(n_jobs, default=self.config.n_jobs)
-        if jobs <= 1 or len(queries) <= 1:
-            if len(queries) > 1:
-                # Judge the whole candidate pool in one pruning pass so
-                # per-query calls (whose candidate sets differ by their
-                # own exposure/outcome) find every verdict cached.
-                self.warm()
-            results = []
-            for index, query in enumerate(queries):
-                captured = trace_captures[index] if trace_captures else None
-                with trace.activation(captured):
-                    results.append(self.explain(query, k=k))
-            return results
-        return explain_many_threaded(self, queries, k, jobs,
-                                     trace_captures=trace_captures)
+        if len(queries) > 1:
+            # Judge the whole candidate pool in one pruning pass so
+            # per-query calls (whose candidate sets differ by their own
+            # exposure/outcome) find every verdict cached.
+            self.warm()
+        results = []
+        for index, query in enumerate(queries):
+            captured = trace_captures[index] if trace_captures else None
+            with trace.activation(captured):
+                results.append(self.explain(query, k=k))
+        return results
 
     def explain_many_envelopes(self, queries: Iterable[AggregateQuery],
                                k: Optional[int] = None,
-                               n_jobs: Optional[int] = None,
                                trace_captures: Optional[Sequence] = None,
                                ) -> List["ExplanationEnvelope"]:
         """:meth:`explain_many`, with each result wrapped as an envelope.
@@ -264,7 +257,7 @@ class ExplanationPipeline:
         """
         from repro.engine.envelope import ExplanationEnvelope
 
-        results = self.explain_many(queries, k=k, n_jobs=n_jobs,
+        results = self.explain_many(queries, k=k,
                                     trace_captures=trace_captures)
         return [ExplanationEnvelope.from_result(result) for result in results]
 

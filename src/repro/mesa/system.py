@@ -96,14 +96,9 @@ class MESA:
         return self.engine.explain(query, k=k)
 
     def explain_many(self, queries: Sequence[AggregateQuery],
-                     k: Optional[int] = None,
-                     n_jobs: Optional[int] = None) -> List[MESAResult]:
-        """Batch counterpart of :meth:`explain` (delegates to the engine).
-
-        ``n_jobs`` opts into the engine's parallel batch executor (see
-        :meth:`repro.engine.pipeline.ExplanationPipeline.explain_many`).
-        """
-        return self.engine.explain_many(queries, k=k, n_jobs=n_jobs)
+                     k: Optional[int] = None) -> List[MESAResult]:
+        """Batch counterpart of :meth:`explain` (delegates to the engine)."""
+        return self.engine.explain_many(queries, k=k)
 
     def unexplained_subgroups(self, result: MESAResult, k: int = 5,
                               threshold: Optional[float] = None,

@@ -84,8 +84,7 @@ class SelectionFitCache:
     """A bounded LRU of finished selection fits (thread-safe).
 
     Entries are immutable (:class:`CachedSelectionFit` with a read-only
-    weight array), so sharing them across queries — and handing copies of
-    the cache to forked worker contexts — is safe.
+    weight array), so every query over the context can share them.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -93,9 +92,6 @@ class SelectionFitCache:
         self._entries: "OrderedDict[Tuple[bytes, bytes], CachedSelectionFit]" = \
             OrderedDict()
         self._lock = threading.Lock()
-        #: Keys inserted since the last :meth:`drain_new_entries` call —
-        #: what a worker context has learned that its parent has not.
-        self._new_keys: set = set()
 
     def get(self, key: Tuple[bytes, bytes]) -> Optional[CachedSelectionFit]:
         with self._lock:
@@ -108,52 +104,8 @@ class SelectionFitCache:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            self._new_keys.add(key)
             while len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
-                self._new_keys.discard(evicted)
-
-    def copy(self) -> "SelectionFitCache":
-        """A new cache pre-populated with this one's (immutable) entries.
-
-        The copy starts with an empty new-entry set: everything it holds
-        came from this cache, so only fits performed *after* the copy count
-        as new when the copy's entries are merged back.
-        """
-        forked = SelectionFitCache(self.max_entries)
-        with self._lock:
-            forked._entries = OrderedDict(self._entries)
-        return forked
-
-    def drain_new_entries(self) -> List[Tuple[Tuple[bytes, bytes], CachedSelectionFit]]:
-        """Entries inserted since the last drain (and reset the marker).
-
-        The parallel batch executor calls this on worker caches after a
-        chunk and merges the returned fits into the parent context — the
-        fit-cache write-back that warms the parent for the next batch.
-        """
-        with self._lock:
-            drained = [(key, self._entries[key]) for key in self._new_keys
-                       if key in self._entries]
-            self._new_keys.clear()
-        return drained
-
-    def merge_new_entries(self, entries: Sequence[Tuple[Tuple[bytes, bytes],
-                                                        CachedSelectionFit]]) -> int:
-        """Adopt another cache's drained entries; returns how many were new.
-
-        Entries already present are skipped (first write wins — fits are
-        deterministic for a given key, so the values are interchangeable),
-        keeping the parent's recency order intact for its own hot keys.
-        """
-        added = 0
-        for key, entry in entries:
-            with self._lock:
-                known = key in self._entries
-            if not known:
-                self.put(key, entry)
-                added += 1
-        return added
+                self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         with self._lock:

@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Micro-batching window in seconds of the "
                              "service's batchers (one per dataset, or one "
                              "per replica and dataset)")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="Engine workers per coalesced batch (-1 = all CPUs)")
     parser.add_argument("--log-level", choices=_LOG_LEVELS, default="info",
                         help="Verbosity of the repro.* loggers")
     parser.add_argument("--log-json", action="store_true",
@@ -153,8 +151,7 @@ def main(argv=None) -> None:
     bundles = [load_dataset(name, seed=args.seed, n_rows=args.rows)
                for name in dict.fromkeys(datasets)]
     configs = {bundle.name: MESAConfig(
-        excluded_columns=tuple(bundle.id_columns), n_jobs=args.n_jobs)
-        for bundle in bundles}
+        excluded_columns=tuple(bundle.id_columns)) for bundle in bundles}
 
     pool = None
     cache_size = args.cache_size

@@ -15,8 +15,9 @@ registered dataset and layers the serving concerns on top:
   deduplicates identical in-flight queries down to one execution;
 * **single-writer concurrency** — the batcher's worker thread is the only
   thread driving a dataset's pipeline, so any number of HTTP threads can
-  submit concurrently without racing the engine's per-query memos (engine
-  parallelism still applies *inside* a batch via ``config.n_jobs``);
+  submit concurrently without racing the engine's per-query memos (a
+  batch runs its queries serially; the ``pool`` below is how the service
+  computes on more than one core);
 * a **negative cache** — client-input failures (``QueryError`` /
   ``ExplanationError``: malformed contexts, zero-row contexts) are cached
   under the same canonical key, so hostile or buggy clients repeating an

@@ -57,8 +57,8 @@ class _AlwaysTrue(Predicate):
     def __reduce__(self):
         # Unpickle to the module singleton: code tests the empty context
         # with ``query.context is TRUE``, which must keep working for
-        # queries that crossed a process boundary (the parallel batch
-        # executor ships queries to forked workers).
+        # queries that crossed a process boundary (a replica pool ships
+        # queries to its engine replicas).
         return (_resolve_true, ())
 
 

@@ -1,5 +1,7 @@
 """Tests for the staged explanation engine (pipeline, context, registry)."""
 
+import json
+
 import pytest
 
 from repro.engine import (
@@ -81,6 +83,27 @@ class TestPipeline:
             "counters": counters, "stage_seconds": stage_seconds}}})
         assert any(line.startswith("repro_stage_seconds_total{")
                    and 'stage="warm"' in line for line in text.splitlines())
+
+    def test_envelope_batch_wraps_the_result_batch(self, covid_bundle):
+        """``explain_many_envelopes`` is ``explain_many`` plus wrapping."""
+        def pipeline():
+            return ExplanationPipeline(
+                covid_bundle.table, covid_bundle.knowledge_graph,
+                covid_bundle.extraction_specs,
+                config=MESAConfig(excluded_columns=covid_bundle.id_columns))
+
+        def without_timings(envelope) -> dict:
+            payload = json.loads(envelope.to_json())
+            payload["timings"] = None
+            payload["explanation"]["runtime_seconds"] = None
+            return payload
+
+        queries = [entry.query for entry in covid_bundle.queries]
+        envelopes = pipeline().explain_many_envelopes(queries, k=3)
+        expected = [result.to_envelope()
+                    for result in pipeline().explain_many(queries, k=3)]
+        assert [without_timings(a) for a in envelopes] == \
+            [without_timings(b) for b in expected]
 
     def test_offline_pruning_judges_each_column_once(self):
         """Verdicts accumulate per column; cached columns never re-scan."""

@@ -92,17 +92,6 @@ class TestSharedAcrossQueries:
         assert shared["estimate_memo_hits"] > alone["estimate_memo_hits"]
         assert shared["estimate_memo_misses"] < alone["estimate_memo_misses"]
 
-    def test_parallel_batch_equals_the_serial_batch(self, covid_bundle):
-        queries = [entry.query for entry in covid_bundle.queries] + [
-            _query(exposure) for exposure in ("Month", "Confirmed_cases")]
-        serial = _pipeline(covid_bundle).explain_many(queries, n_jobs=1)
-        threaded_pipeline = _pipeline(covid_bundle)
-        threaded = threaded_pipeline.explain_many(queries, n_jobs=2)
-        assert [result.to_envelope().canonical_json() for result in threaded] \
-            == [result.to_envelope().canonical_json() for result in serial]
-        assert threaded_pipeline.context.counters["parallel_workers"] == 2
-        assert _memo_counters(threaded_pipeline)["estimate_memo_hits"] > 0
-
     def test_first_query_after_append_rows_reuses_nothing(self, covid_bundle):
         service = ExplanationService(coalesce_window_seconds=0.0)
         config = MESAConfig(excluded_columns=tuple(covid_bundle.id_columns),

@@ -11,12 +11,18 @@ implementations in :mod:`repro.infotheory.entropy` /
 * ``missing_as_category`` strata (the remapped codes MESA conditions on);
 * both estimators (``plugin`` and ``miller_madow``);
 * fused multi-variable conditioning sets (vs. ``joint_codes``).
+
+``TestKernelOracleWiring`` checks the same agreement one level up, where a
+problem's batched candidate scores meet the scalar CMI and the reference
+estimator.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.problem import CorrelationExplanationProblem
+from repro.exceptions import ExplanationError
 from repro.infotheory.encoding import joint_codes
 from repro.infotheory.entropy import conditional_entropy, entropy
 from repro.infotheory.independence import conditional_independence_test
@@ -35,6 +41,7 @@ from repro.infotheory.mutual_information import (
     conditional_mutual_information,
     mutual_information,
 )
+from repro.query.aggregate_query import AggregateQuery
 
 TOL = 1e-9
 
@@ -257,3 +264,46 @@ class TestIndependenceMatchesReference:
             expected = _permute_within_strata(x, reference_strata, make_rng(seed))
             actual = _permute_within_strata(x, fused, make_rng(seed))
             assert np.array_equal(expected, actual)
+
+
+@pytest.fixture(scope="module")
+def confounded_query() -> AggregateQuery:
+    return AggregateQuery(exposure="Group", outcome="Outcome", aggregate="avg",
+                          table_name="confounded")
+
+
+class TestKernelOracleWiring:
+    def test_score_candidates_matches_scalar_oracle(self, confounded_problem):
+        problem = confounded_problem
+        scores = problem.score_candidates(problem.candidates)
+        for attribute in problem.candidates:
+            assert scores[attribute] == pytest.approx(
+                problem.cmi([attribute]), abs=1e-12)
+        given = problem.candidates[:1]
+        extended = problem.score_candidates(problem.candidates[1:], given)
+        for attribute, value in extended.items():
+            assert value == pytest.approx(
+                problem.cmi(list(given) + [attribute]), abs=1e-12)
+
+    def test_score_candidates_legacy_mode(self, confounded_table, confounded_query):
+        # The reference estimator over the frame's missing-as-category
+        # conditioning codes is the oracle of the batched kernel scores.
+        fast = CorrelationExplanationProblem(
+            confounded_table, confounded_query, ["Wealth", "Noise"])
+        fast_scores = fast.score_candidates(["Wealth", "Noise"])
+        frame = fast.frame
+        for attribute in ("Wealth", "Noise"):
+            reference = conditional_mutual_information(
+                frame.codes(fast.outcome), frame.codes(fast.exposure),
+                [frame.codes(attribute, missing_as_category=True)])
+            assert fast_scores[attribute] == pytest.approx(reference, abs=1e-9)
+
+    def test_adopted_frame_must_match(self, confounded_table, confounded_query):
+        problem = CorrelationExplanationProblem(
+            confounded_table, confounded_query, ["Wealth", "Noise"])
+        restricted = problem.restricted_to(
+            np.arange(confounded_table.n_rows) % 2 == 0)
+        with pytest.raises(ExplanationError):
+            CorrelationExplanationProblem(
+                confounded_table, confounded_query, ["Wealth", "Noise"],
+                frame=restricted.frame)

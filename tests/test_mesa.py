@@ -1,5 +1,7 @@
 """Integration tests for the MESA system and its configuration."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -39,6 +41,23 @@ class TestMESAConfig:
 
     def test_with_overrides(self):
         assert MESAConfig().with_overrides(k=2).k == 2
+
+    def test_n_jobs_is_init_only_and_only_one(self):
+        # Batches run serially; ``n_jobs=1`` is still accepted for callers
+        # that pass it, but it is not a field of the configuration.
+        assert MESAConfig(n_jobs=1) == MESAConfig()
+        assert hash(MESAConfig(n_jobs=1)) == hash(MESAConfig())
+        assert "n_jobs" not in {field.name for field in fields(MESAConfig)}
+        assert MESAConfig(n_jobs=1).with_overrides(k=2).k == 2
+        for n_jobs in (2, 0, -1):
+            with pytest.raises(ConfigurationError):
+                MESAConfig(n_jobs=n_jobs)
+
+    def test_server_cli_has_no_n_jobs_flag(self):
+        from repro.serving.__main__ import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--n-jobs", "2"])
 
 
 class TestMESAOnCovid(object):

@@ -380,6 +380,31 @@ class TestExplanationService:
         finally:
             service.close()
 
+    def test_clear_cache_reaches_the_engine(self, covid_bundle):
+        service = ExplanationService(cache_size=8, coalesce_window_seconds=0.0)
+        config = MESAConfig(excluded_columns=tuple(covid_bundle.id_columns), k=3)
+        service.register_bundle(covid_bundle, config=config)
+        counters = service.pipeline(covid_bundle.name).context.counters
+        query = covid_bundle.queries[0].query
+        watched = ("frame_cache_misses", "stage.online_pruning")
+        try:
+            first = service.explain(covid_bundle.name, query, k=3)
+            before = {name: counters[name] for name in watched}
+            service.clear_cache()
+            second = service.explain(covid_bundle.name, query, k=3)
+            after = {name: counters[name] for name in watched}
+        finally:
+            service.close()
+        assert not second.cache_hit
+        # The pre-clear prepared state is gone: the context frame is
+        # encoded again and the per-query stages re-run.
+        assert after == {name: before[name] + 1 for name in watched}
+        a, b = first.envelope.explanation, second.envelope.explanation
+        assert a.attributes == b.attributes
+        assert (a.explainability, a.baseline_cmi, a.objective) == \
+            (b.explainability, b.baseline_cmi, b.objective)
+        assert a.responsibilities == b.responsibilities
+
     def test_coalesced_failure_does_not_poison_innocent_queries(
             self, covid_bundle):
         """A bad query sharing a batch must not fail (or negative-cache)
